@@ -244,30 +244,38 @@ let experiments : (string * string * (Experiments.Profile.t -> unit)) list =
     ("micro", "micro-benchmarks", fun _ -> run_micro ());
   ]
 
+(* The CI gates, by the flag names the Makefile and ./dune use: a
+   scaled-down E15 (perf), E16 (chaos), E17 (drift), E18 (yield), E19
+   (sketch) or E20 (recover) run, exiting nonzero when any of its
+   invariants breaks (see the Makefile targets for each gate). *)
+let smoke_gates : (string * (Experiments.Profile.t -> bool)) list =
+  [
+    ("--smoke", fun p -> (Experiments.Scaling.run ~smoke:true p).Experiments.Scaling.ok);
+    ("--chaos-smoke", fun p -> (Experiments.Chaos_exp.run p).Experiments.Chaos_exp.ok);
+    ("--drift-smoke", fun p -> (Experiments.Drift_exp.run p).Experiments.Drift_exp.ok);
+    ( "--yield-smoke",
+      fun p -> (Experiments.Decision_exp.run p).Experiments.Decision_exp.ok );
+    ( "--sketch-smoke",
+      fun p -> (Experiments.Sketch_exp.run ~smoke:true p).Experiments.Sketch_exp.ok );
+    ( "--recover-smoke",
+      fun p -> (Experiments.Recover_exp.run p).Experiments.Recover_exp.ok );
+  ]
+
 let usage () =
-  Printf.printf
-    "usage: main.exe [%s|all] [--full] [--smoke] [--chaos-smoke] \
-     [--drift-smoke] [--yield-smoke] [--sketch-smoke] [--recover-smoke] \
-     [--domains N]\n"
-    (String.concat "|" (List.map (fun (name, _, _) -> name) experiments));
+  Printf.printf "usage: main.exe [%s|all] [--full] %s [--domains N]\n"
+    (String.concat "|" (List.map (fun (name, _, _) -> name) experiments))
+    (String.concat " " (List.map (fun (flag, _) -> "[" ^ flag ^ "]") smoke_gates));
   exit 1
 
 let () =
+  (* a serving experiment re-runs this executable as its server child *)
+  if Array.length Sys.argv > 1 && Sys.argv.(1) = Experiments.Harness.child_flag then
+    exit (Experiments.Harness.serve_child ());
   let args = Array.to_list Sys.argv |> List.tl in
   let full = List.mem "--full" args in
-  let smoke = List.mem "--smoke" args in
-  let chaos_smoke = List.mem "--chaos-smoke" args in
-  let drift_smoke = List.mem "--drift-smoke" args in
-  let yield_smoke = List.mem "--yield-smoke" args in
-  let sketch_smoke = List.mem "--sketch-smoke" args in
-  let recover_smoke = List.mem "--recover-smoke" args in
+  let gate = List.find_opt (fun (flag, _) -> List.mem flag args) smoke_gates in
   let args =
-    List.filter
-      (fun a ->
-        a <> "--full" && a <> "--smoke" && a <> "--chaos-smoke"
-        && a <> "--drift-smoke" && a <> "--yield-smoke" && a <> "--sketch-smoke"
-        && a <> "--recover-smoke")
-      args
+    List.filter (fun a -> a <> "--full" && not (List.mem_assoc a smoke_gates)) args
   in
   let args =
     let rec strip_domains = function
@@ -282,49 +290,7 @@ let () =
     strip_domains args
   in
   let profile = if full then Experiments.Profile.full else Experiments.Profile.quick in
-  (* [e15 --smoke] is the perf-smoke CI gate: scaled-down sweep, no JSON
-     file, nonzero exit when equivalence (or, on multicore hosts, the
-     speedup floor) fails. *)
-  if smoke then begin
-    let r = Experiments.Scaling.run ~smoke:true profile in
-    exit (if r.Experiments.Scaling.ok then 0 else 1)
-  end;
-  (* [--chaos-smoke] is the CI gate for the serving invariants: a
-     short E16 soak, nonzero exit if any invariant breaks *)
-  if chaos_smoke then begin
-    let r = Experiments.Chaos_exp.run profile in
-    exit (if r.Experiments.Chaos_exp.ok then 0 else 1)
-  end;
-  (* [--drift-smoke] is the CI gate for the self-healing loop: a short
-     E17 soak — drift must be detected, the background re-selection
-     must recover accuracy, and no request may go wrong *)
-  if drift_smoke then begin
-    let r = Experiments.Drift_exp.run profile in
-    exit (if r.Experiments.Drift_exp.ok then 0 else 1)
-  end;
-  (* [--yield-smoke] is the CI gate for the decision ops: the quick
-     E18 — IS must agree with brute-force MC within 3 combined SE at
-     >= 50x fewer samples, and every served answer must be bit-exact *)
-  if yield_smoke then begin
-    let r = Experiments.Decision_exp.run profile in
-    exit (if r.Experiments.Decision_exp.ok then 0 else 1)
-  end;
-  (* [--sketch-smoke] is the CI gate for the sketched engine: a 50k-path
-     sketched selection must finish inside the wall budget, and on a
-     small circuit pool its worst-case error must stay within 1.25x of
-     the exact engine *)
-  if sketch_smoke then begin
-    let r = Experiments.Sketch_exp.run ~smoke:true profile in
-    exit (if r.Experiments.Sketch_exp.ok then 0 else 1)
-  end;
-  (* [--recover-smoke] is the CI gate for the durability layer: a short
-     E20 kill/recovery soak — repeated random SIGKILLs under live
-     traffic, zero acked-but-lost observations, recovered state equal
-     to an uninterrupted reference, bounded recovery time *)
-  if recover_smoke then begin
-    let r = Experiments.Recover_exp.run profile in
-    exit (if r.Experiments.Recover_exp.ok then 0 else 1)
-  end;
+  Option.iter (fun (_, run) -> exit (if run profile then 0 else 1)) gate;
   let what = match args with [] -> "all" | [ w ] -> w | _ -> usage () in
   Printf.printf "profile: %s\n" profile.Experiments.Profile.name;
   let t0 = Unix.gettimeofday () in

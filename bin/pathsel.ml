@@ -685,29 +685,29 @@ let serve_cmd =
     in
     let addr = address ~socket ~port in
     if self_check then begin
-      match Unix.fork () with
-      | 0 ->
-        (* child: serve until the parent's shutdown request *)
-        (* lint: allow no-catchall — the child's only job is to turn any
-           server failure into a nonzero exit the parent can observe *)
-        (try
-           Serve.run ~install_signals:false ~config artifact addr;
-           Stdlib.exit 0
-         with _ -> Stdlib.exit 1)
-      | pid ->
-        let c = Serve.Client.connect addr in
-        let pong = Serve.Client.ping c in
-        let stats_ok = Result.is_ok (Serve.Client.stats c) in
-        Serve.Client.shutdown c;
-        Serve.Client.close c;
-        let _, status = Unix.waitpid [] pid in
-        (match (pong, stats_ok, status) with
-         | true, true, Unix.WEXITED 0 ->
-           Printf.printf "self-check: ping + stats + drain ok on %s\n"
-             (Serve.address_to_string addr)
-         | _ ->
-           prerr_endline "self-check: FAILED";
-           Stdlib.exit 70)
+      (* the server runs on a thread of this process; the check drives
+         it over the socket like any client *)
+      let served = ref false in
+      let server =
+        Thread.create
+          (fun () ->
+            Serve.run ~install_signals:false ~config artifact addr;
+            served := true)
+          ()
+      in
+      let c = Serve.Client.connect addr in
+      let pong = Serve.Client.ping c in
+      let stats_ok = Result.is_ok (Serve.Client.stats c) in
+      Serve.Client.shutdown c;
+      Serve.Client.close c;
+      Thread.join server;
+      match (pong, stats_ok, !served) with
+      | true, true, true ->
+        Printf.printf "self-check: ping + stats + drain ok on %s\n"
+          (Serve.address_to_string addr)
+      | _ ->
+        prerr_endline "self-check: FAILED";
+        Stdlib.exit 70
     end
     else begin
       (* SIGHUP re-loads the artifact file the server started from *)

@@ -45,38 +45,6 @@ let soak_spec =
     eintr_burst = 2;
   }
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
-
-let rows_of m i0 k =
-  let _, c = Linalg.Mat.dims m in
-  Linalg.Mat.init k c (fun i j -> Linalg.Mat.get m (i0 + i) j)
-
-let bits_equal m1 m2 =
-  Linalg.Mat.dims m1 = Linalg.Mat.dims m2
-  &&
-  let r, c = Linalg.Mat.dims m1 in
-  try
-    for i = 0 to r - 1 do
-      for j = 0 to c - 1 do
-        if
-          Int64.bits_of_float (Linalg.Mat.get m1 i j)
-          <> Int64.bits_of_float (Linalg.Mat.get m2 i j)
-        then raise Exit
-      done
-    done;
-    true
-  with Exit -> false
-
-let p99 = function
-  | [] -> 0.0
-  | xs -> Stats.Descriptive.quantile (Array.of_list xs) 0.99
-
-let int_stat resp key =
-  match Serve.Wire.member key resp with Some (Serve.Wire.Int n) -> n | _ -> 0
-
 let json_of_result r =
   let open Core.Report in
   Obj
@@ -118,82 +86,47 @@ let run ?(oc = stdout) ?out profile =
     "E16: chaos soak (%s; %d fault lanes x %d requests through a faulty proxy, \
      %d clean requests, SIGHUP reload mid-soak)\n"
     bench_name fault_lanes lane_iters clean_iters;
-  let preset =
-    match Circuit.Benchmarks.find bench_name with
-    | Some p -> p
-    | None ->
-      Core.Errors.raise_error (Core.Errors.Invalid_input "Chaos_exp: s1423 preset missing")
-  in
-  let _, setup =
-    Table1.setup_for profile preset ~t_cons_scale:1.0
-      ~max_paths:profile.Profile.max_paths
-  in
+  let setup = Table1.setup_named profile bench_name in
   let sel = Core.Pipeline.approximate_selection setup ~eps in
   let pool = setup.Core.Pipeline.pool in
-  let t_cons = setup.Core.Pipeline.t_cons in
-  let a = Timing.Paths.a_mat pool in
-  let mu = Timing.Paths.mu_paths pool in
-  let make_artifact fingerprint =
-    Store.of_selection ~fingerprint
-      ~n_segments:(Timing.Paths.num_segments pool)
-      ~t_cons ~eps ~a ~mu sel
-  in
+  let make_artifact fingerprint = Harness.artifact ~fingerprint ~eps setup sel in
   let artifact = make_artifact "bench:e16 s1423" in
   let p = sel.Core.Select.predictor in
   let rep = Core.Predictor.rep_indices p in
   let mc = Timing.Monte_carlo.sample (Rng.create 16) pool ~n:n_dies in
   let clean = Linalg.Mat.select_cols (Timing.Monte_carlo.path_delays mc) rep in
   (* the artifact file the server SIGHUP-reloads from *)
-  let store_path = Filename.temp_file "pathsel-e16" ".psa" in
-  (match Store.save store_path artifact with
-   | Ok () -> ()
-   | Error e -> Core.Errors.raise_error e);
-  let sock = Filename.temp_file "pathsel-e16" ".sock" in
-  Sys.remove sock;
-  let server_addr = Serve.Unix_sock sock in
+  let store_path = Harness.artifact_file "pathsel-e16" artifact in
+  let server_addr = Harness.temp_socket "pathsel-e16" in
   let config =
     { Serve.default_config with
       Serve.workers = 3; queue = 16; deadline = 2.0; idle_timeout = 30.0 }
   in
-  flush oc;
-  flush stdout;
-  (* the server child must fork before any proxy/lane threads exist *)
-  let pid = Unix.fork () in
-  if pid = 0 then begin
-    (match Serve.run ~config ~reload_from:store_path artifact server_addr with
-     | () -> Unix._exit 0
-     | exception (Core.Errors.Error _ | Unix.Unix_error _ | Sys_error _) ->
-       Unix._exit 1)
-  end;
-  let proxy =
-    Chaos.start ~seed:1616 ~eintr_pid:pid soak_spec
-      ~listen:(Serve.Unix_sock (sock ^ ".chaos"))
-      ~upstream:server_addr
+  let expected i0 k =
+    Core.Predictor.predict_all p ~measured:(Harness.rows_of clean i0 k)
   in
-  let proxy_addr = Chaos.bound_addr proxy in
-  let expected i0 k = Core.Predictor.predict_all p ~measured:(rows_of clean i0 k) in
-  let finish () =
+  let soak h pid proxy_addr =
     (* ---- baseline: clean latency + throughput, no faults in the path *)
     let conn = Serve.Client.connect server_addr in
     let base = { sent = 0; ok = 0; gave_up = 0; wrong = 0; lat_ms = [] } in
     let reps = if quick then 20 else 60 in
     let want = expected 0 batch in
-    let sub = rows_of clean 0 batch in
+    let sub = Harness.rows_of clean 0 batch in
     let (), dt =
-      time (fun () ->
+      Harness.time (fun () ->
           for _ = 1 to reps do
             base.sent <- base.sent + 1;
-            let r, lat = time (fun () -> Serve.Client.predict conn sub) in
+            let r, lat = Harness.time (fun () -> Serve.Client.predict conn sub) in
             (match r with
              | Ok (m, _) ->
                base.ok <- base.ok + 1;
-               if not (bits_equal m want) then base.wrong <- base.wrong + 1
+               if not (Harness.bits_equal m want) then base.wrong <- base.wrong + 1
              | Error _ -> base.gave_up <- base.gave_up + 1);
             base.lat_ms <- (lat *. 1000.0) :: base.lat_ms
           done)
     in
     let throughput = float_of_int (batch * reps) /. dt in
-    let p99_clean_ms = p99 base.lat_ms in
+    let p99_clean_ms = Harness.percentile base.lat_ms 0.99 in
     Printf.fprintf oc
       "baseline: %d direct requests, %.0f dies/s, p99 %.2f ms\n%!" reps
       throughput p99_clean_ms;
@@ -208,14 +141,14 @@ let run ?(oc = stdout) ?out profile =
       let rng = Rng.create (4242 + idx) in
       let i0 = idx * batch in
       let want = expected i0 batch in
-      let sub = rows_of clean i0 batch in
+      let sub = Harness.rows_of clean i0 batch in
       let body () =
         for _ = 1 to lane_iters do
           lane.sent <- lane.sent + 1;
           match Serve.Client.predict_with_retry ~retry ~rng proxy_addr sub with
           | Ok (m, _) ->
             lane.ok <- lane.ok + 1;
-            if not (bits_equal m want) then lane.wrong <- lane.wrong + 1
+            if not (Harness.bits_equal m want) then lane.wrong <- lane.wrong + 1
           | Error _ -> lane.gave_up <- lane.gave_up + 1
         done
       in
@@ -226,16 +159,16 @@ let run ?(oc = stdout) ?out profile =
       let lane = { sent = 0; ok = 0; gave_up = 0; wrong = 0; lat_ms = [] } in
       let i0 = fault_lanes * batch in
       let want = expected i0 batch in
-      let sub = rows_of clean i0 batch in
+      let sub = Harness.rows_of clean i0 batch in
       let body () =
         let c = Serve.Client.connect server_addr in
         for _ = 1 to clean_iters do
           lane.sent <- lane.sent + 1;
-          let r, lat = time (fun () -> Serve.Client.predict ~deadline:5.0 c sub) in
+          let r, lat = Harness.time (fun () -> Serve.Client.predict ~deadline:5.0 c sub) in
           (match r with
            | Ok (m, _) ->
              lane.ok <- lane.ok + 1;
-             if not (bits_equal m want) then lane.wrong <- lane.wrong + 1
+             if not (Harness.bits_equal m want) then lane.wrong <- lane.wrong + 1
            | Error _ -> lane.gave_up <- lane.gave_up + 1);
           lane.lat_ms <- (lat *. 1000.0) :: lane.lat_ms;
           Atomic.incr clean_done;
@@ -245,6 +178,7 @@ let run ?(oc = stdout) ?out profile =
       in
       (lane, Thread.create body ())
     in
+    Harness.phase h "E16 soak";
     let lanes = List.init fault_lanes fault_lane in
     let cl, cl_thread = clean_lane () in
     (* ---- mid-soak hot reload: rewrite the artifact (same selection,
@@ -254,9 +188,8 @@ let run ?(oc = stdout) ?out profile =
           && Unix.gettimeofday () < deadline do
       Thread.delay 0.05
     done;
-    (match Store.save store_path (make_artifact "bench:e16 s1423 v2") with
-     | Ok () -> ()
-     | Error e -> Core.Errors.raise_error e);
+    Harness.save store_path (make_artifact "bench:e16 s1423 v2");
+    Harness.phase h "E16 mid-soak SIGHUP";
     Unix.kill pid Sys.sighup;
     Thread.delay 1.0;
     let reloads, reload_fingerprint_ok =
@@ -270,13 +203,15 @@ let run ?(oc = stdout) ?out profile =
              | _ -> "")
           | None -> ""
         in
-        (int_stat resp "reloads", fp = "bench:e16 s1423 v2")
+        (Harness.int_member resp "reloads", fp = "bench:e16 s1423 v2")
       | Error _ -> (0, false)
     in
     Printf.fprintf oc "mid-soak SIGHUP: %d reload(s), fingerprint swapped: %b\n%!"
       reloads reload_fingerprint_ok;
+    Harness.phase h "E16 soak after SIGHUP";
     List.iter (fun (_, th) -> Thread.join th) lanes;
     Thread.join cl_thread;
+    Harness.phase h "E16 final batch";
     (* ---- a clean batch must still complete through the faulty proxy *)
     let final_retry = { retry with Serve.Client.attempts = 12 } in
     let final_batch_ok =
@@ -284,36 +219,54 @@ let run ?(oc = stdout) ?out profile =
         Serve.Client.predict_with_retry ~retry:final_retry
           ~rng:(Rng.create 99) proxy_addr sub
       with
-      | Ok (m, _) -> bits_equal m want
+      | Ok (m, _) -> Harness.bits_equal m want
       | Error _ -> false
     in
-    (* ---- drain: final counters, shutdown, reap the child *)
+    (* ---- final counters *)
     let shed, timeouts =
       match Serve.Client.stats conn with
-      | Ok resp -> (int_stat resp "shed", int_stat resp "timeouts")
+      | Ok resp -> (Harness.int_member resp "shed", Harness.int_member resp "timeouts")
       | Error _ -> (0, 0)
     in
-    Serve.Client.shutdown conn;
     Serve.Client.close conn;
     (lanes, cl, p99_clean_ms, throughput, reloads, reload_fingerprint_ok,
      final_batch_ok, shed, timeouts)
   in
-  let ( lanes, cl, p99_clean_ms, throughput, reloads, reload_fingerprint_ok,
-        final_batch_ok, shed, timeouts ) =
-    Fun.protect ~finally:(fun () -> Chaos.stop proxy) finish
+  let ( ( lanes, cl, p99_clean_ms, throughput, reloads, reload_fingerprint_ok,
+          final_batch_ok, shed, timeouts ),
+        server_exit_ok,
+        pst ),
+      watchdog_ok =
+    Harness.session ~oc ~budget:(Harness.budget profile) "E16 baseline"
+    @@ fun h ->
+    let pid =
+      Harness.start h ~config ~reload_from:store_path ~artifact:store_path server_addr
+    in
+    let proxy =
+      Chaos.start ~seed:1616 ~eintr_pid:pid soak_spec
+        ~listen:(Harness.temp_socket "pathsel-e16-chaos")
+        ~upstream:server_addr
+    in
+    let r =
+      Fun.protect
+        ~finally:(fun () -> Chaos.stop proxy)
+        (fun () -> soak h pid (Chaos.bound_addr proxy))
+    in
+    (* ---- drain: shutdown, reap the child *)
+    Harness.phase h "E16 drain";
+    let server_exit_ok = Harness.stop h = Unix.WEXITED 0 in
+    (r, server_exit_ok, Chaos.stats proxy)
   in
-  let _, status = Unix.waitpid [] pid in
-  let server_exit_ok = status = Unix.WEXITED 0 in
   (try Sys.remove store_path with Sys_error _ -> ());
   let sum f = List.fold_left (fun acc (l, _) -> acc + f l) 0 lanes in
   let requests_faulted = sum (fun l -> l.sent) in
   let ok_faulted = sum (fun l -> l.ok) in
   let gave_up = sum (fun l -> l.gave_up) in
   let wrong_answers = sum (fun l -> l.wrong) + cl.wrong in
-  let p99_soak_ms = p99 cl.lat_ms in
-  let pst = Chaos.stats proxy in
+  let p99_soak_ms = Harness.percentile cl.lat_ms 0.99 in
   let ok =
-    wrong_answers = 0 && cl.gave_up = 0 && server_exit_ok && reloads >= 1
+    watchdog_ok && wrong_answers = 0 && cl.gave_up = 0 && server_exit_ok
+    && reloads >= 1
     && reload_fingerprint_ok && final_batch_ok
     && p99_soak_ms < 2000.0
   in
@@ -358,9 +311,5 @@ let run ?(oc = stdout) ?out profile =
       ok;
     }
   in
-  (match out with
-   | Some path ->
-     Core.Report.write_file path (json_of_result result);
-     Printf.fprintf oc "wrote %s\n" path
-   | None -> ());
+  Harness.write_json ~oc out (json_of_result result);
   result

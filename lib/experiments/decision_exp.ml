@@ -37,17 +37,6 @@ let pfail_target = 1e-4
 let reduction_gate = 50.0
 let agreement_gate = 3.0
 
-let bits_equal_f a b = Int64.bits_of_float a = Int64.bits_of_float b
-
-let float_member resp key =
-  match Serve.Wire.member key resp with
-  | Some (Serve.Wire.Float x) -> x
-  | Some (Serve.Wire.Int n) -> float_of_int n
-  | _ -> Float.nan
-
-let int_member resp key =
-  match Serve.Wire.member key resp with Some (Serve.Wire.Int n) -> n | _ -> min_int
-
 let json_of_result r =
   let open Core.Report in
   Obj
@@ -123,10 +112,6 @@ let buffer_menu n_paths =
       in
       { Tune.paths; levels })
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  sorted.(Int.min (n - 1) (int_of_float (q *. float_of_int n)))
-
 let run ?(oc = stdout) ?out profile =
   let quick = profile.Profile.name <> "full" in
   let is_samples = if quick then 16_384 else 65_536 in
@@ -195,9 +180,7 @@ let run ?(oc = stdout) ?out profile =
         let row = Linalg.Mat.row dies i in
         Array.fold_left Float.max Float.neg_infinity row)
   in
-  let sorted = Array.copy maxes in
-  Array.sort Float.compare sorted;
-  let t_clk = percentile sorted 0.5 in
+  let t_clk = Harness.percentile (Array.to_list maxes) 0.5 in
   let buffers = buffer_menu n_paths in
   let solved =
     Array.init tune_dies (fun i ->
@@ -227,30 +210,19 @@ let run ?(oc = stdout) ?out profile =
   (* ---- serving: the same answers over a live server through a
      faulty link, bit-compared against local recomputation *)
   let sel = Core.Pipeline.approximate_selection setup ~eps in
+  (* served at the calibrated constraint, not the setup's own *)
   let artifact =
-    Store.of_selection ~fingerprint:"bench:e18 generated"
-      ~n_segments:(Timing.Paths.num_segments pool)
-      ~t_cons ~eps ~a ~mu sel
+    Harness.artifact ~fingerprint:"bench:e18 generated" ~eps
+      { setup with Core.Pipeline.t_cons } sel
   in
   let predictor = sel.Core.Select.predictor in
   let rep = Core.Predictor.rep_indices predictor in
   let rem = Core.Predictor.rem_indices predictor in
-  let sock = Filename.temp_file "pathsel-e18" ".sock" in
-  Sys.remove sock;
-  let server_addr = Serve.Unix_sock sock in
+  let server_addr = Harness.temp_socket "pathsel-e18" in
   let config =
     { Serve.default_config with Serve.workers = 2; deadline = 30.0;
       idle_timeout = 60.0 }
   in
-  flush oc;
-  flush stdout;
-  let pid = Unix.fork () in
-  if pid = 0 then begin
-    match Serve.run ~config artifact server_addr with
-    | () -> Unix._exit 0
-    | exception (Core.Errors.Error _ | Unix.Unix_error _ | Sys_error _) ->
-      Unix._exit 1
-  end;
   let spec =
     {
       Chaos.none with
@@ -261,167 +233,169 @@ let run ?(oc = stdout) ?out profile =
       disconnect = 0.02;
     }
   in
-  let proxy =
-    Chaos.start ~seed:1818 ~eintr_pid:pid spec
-      ~listen:(Serve.Unix_sock (sock ^ ".chaos"))
-      ~upstream:server_addr
-  in
-  let proxy_addr = Chaos.bound_addr proxy in
-  let retry =
-    { Serve.Client.default_retry with Serve.Client.attempts = 8 }
-  in
-  let rng = Rng.create 1881 in
   let wrong = ref 0 and failures = ref 0 in
-  let send req =
-    match Serve.Client.request_with_retry ~retry ~rng proxy_addr req with
-    | Ok resp -> Some resp
-    | Error _ ->
-      incr failures;
-      None
-  in
-  let check_yield ~meth ~samples ~seed =
-    match send (Serve.Client.yield_request ~samples ~seed ~meth ()) with
-    | None -> ()
-    | Some resp ->
-      if Serve.Wire.member "ok" resp <> Some (Serve.Wire.Bool true) then
-        incr failures
-      else begin
-        let est =
-          let rng = Rng.create seed in
-          match meth with
-          | `Is -> Yield.importance ~a ~mu ~t_cons ~rng ~samples ()
-          | `Mc -> Yield.brute_force ~a ~mu ~t_cons ~rng ~samples ()
-        in
-        let f key v = bits_equal_f (float_member resp key) v in
-        let good =
-          f "t_cons" est.Yield.t_cons
-          && f "p_fail" est.Yield.p_fail
-          && f "sn_p_fail" est.Yield.sn_p_fail
-          && f "std_err" est.Yield.std_err
-          && f "sn_std_err" est.Yield.sn_std_err
-          && f "ess" est.Yield.ess
-          && f "shift_norm" est.Yield.shift_norm
-          && int_member resp "samples" = est.Yield.samples
-          && int_member resp "hits" = est.Yield.hits
-          && int_member resp "dominant" = est.Yield.dominant
-        in
-        if not good then incr wrong
-      end
-  in
-  (* the serving tune check mirrors the server's own pipeline: predict
-     the unmeasured paths from the measured ones, scatter to a full
-     die, solve — the response must match bit for bit *)
-  let local_tune measured =
-    let n_dies, _ = Linalg.Mat.dims measured in
-    let pred = Core.Predictor.predict_all predictor ~measured in
-    let full = Array.make_matrix n_dies n_paths 0.0 in
-    for i = 0 to n_dies - 1 do
-      Array.iteri (fun j p -> full.(i).(p) <- Linalg.Mat.get measured i j) rep;
-      Array.iteri (fun j p -> full.(i).(p) <- Linalg.Mat.get pred i j) rem
-    done;
-    Array.init n_dies (fun i ->
-        Tune.solve { Tune.delays = full.(i); t_clk = t_cons; buffers })
-  in
-  let check_tune measured =
-    match
-      send (Serve.Client.tune_request ~t_clk:t_cons ~buffers ~measured ())
-    with
-    | None -> ()
-    | Some resp ->
-      if Serve.Wire.member "ok" resp <> Some (Serve.Wire.Bool true) then
-        incr failures
-      else begin
-        let want = local_tune measured in
-        let rows =
-          match Serve.Wire.member "results" resp with
-          | Some (Serve.Wire.List l) -> Array.of_list l
-          | _ -> [||]
-        in
-        let good =
-          Array.length rows = Array.length want
-          && Array.for_all2
-               (fun row w ->
-                 match w with
-                 | Tune.Infeasible _ -> false
-                 | Tune.Feasible asg ->
-                   let levels_ok =
-                     match Serve.Wire.member "levels" row with
-                     | Some (Serve.Wire.List ls) ->
-                       let got =
-                         List.filter_map
-                           (function Serve.Wire.Int n -> Some n | _ -> None)
-                           ls
-                       in
-                       got = Array.to_list asg.Tune.levels
-                     | _ -> false
-                   in
-                   levels_ok
-                   && bits_equal_f (float_member row "cost") asg.Tune.cost
-                   && bits_equal_f (float_member row "slack_ps")
-                        asg.Tune.slack_ps
-                   && Serve.Wire.member "exact" row
-                      = Some (Serve.Wire.Bool asg.Tune.exact))
-               rows want
-        in
-        if not good then incr wrong
-      end
-  in
   let infeasible_code_ok = ref false in
-  let finish () =
-    for k = 0 to yield_reqs - 1 do
-      let meth = if k mod 3 = 2 then `Mc else `Is in
-      check_yield ~meth ~samples:(4096 + (1024 * k)) ~seed:(100 + k)
-    done;
-    (* measured batches drawn from feasible dies only: one infeasible
-       die fails a whole tune request by design, checked separately *)
-    let mc2 =
-      Timing.Monte_carlo.path_delays
-        (Timing.Monte_carlo.sample (Rng.create 1806) pool
-           ~n:(tune_reqs * tune_batch))
+  let artifact_path = Harness.artifact_file "pathsel-e18" artifact in
+  let server_exit_ok, watchdog_ok =
+    Harness.session ~oc ~budget:(Harness.budget profile) "E18 served yield/tune"
+    @@ fun h ->
+    let pid = Harness.start h ~config ~artifact:artifact_path server_addr in
+    let proxy =
+      Chaos.start ~seed:1818 ~eintr_pid:pid spec
+        ~listen:(Harness.temp_socket "pathsel-e18-chaos")
+        ~upstream:server_addr
     in
-    for k = 0 to tune_reqs - 1 do
-      let rows =
-        Linalg.Mat.init tune_batch n_paths (fun i j ->
-            Linalg.Mat.get mc2 ((k * tune_batch) + i) j)
-      in
-      let measured = Linalg.Mat.select_cols rows rep in
-      (* t_clk = t_cons: calibrated so failure is rare, every batch
-         feasible without any buffer pull *)
-      check_tune measured
-    done;
-    (* the typed-infeasibility path: a clock no offset can reach must
-       answer the semantic code 65, not a transport error *)
-    let measured = Linalg.Mat.select_cols dies rep in
-    let one =
-      Linalg.Mat.init 1 (Array.length rep) (fun _ j ->
-          Linalg.Mat.get measured 0 j)
-    in
-    (match
-       send
-         (Serve.Client.tune_request ~t_clk:1.0 ~buffers ~measured:one ())
-     with
-     | None -> ()
-     | Some resp ->
-       infeasible_code_ok :=
-         Serve.Wire.member "ok" resp = Some (Serve.Wire.Bool false)
-         && int_member resp "code" = 65);
-    let conn = Serve.Client.connect server_addr in
-    Serve.Client.shutdown conn;
-    Serve.Client.close conn
+    Fun.protect
+      ~finally:(fun () -> Chaos.stop proxy)
+      (fun () ->
+        let proxy_addr = Chaos.bound_addr proxy in
+        let retry =
+          { Serve.Client.default_retry with Serve.Client.attempts = 8 }
+        in
+        let rng = Rng.create 1881 in
+        let send req =
+          match Serve.Client.request_with_retry ~retry ~rng proxy_addr req with
+          | Ok resp -> Some resp
+          | Error _ ->
+            incr failures;
+            None
+        in
+        let check_yield ~meth ~samples ~seed =
+          match send (Serve.Client.yield_request ~samples ~seed ~meth ()) with
+          | None -> ()
+          | Some resp ->
+            if Serve.Wire.member "ok" resp <> Some (Serve.Wire.Bool true) then
+              incr failures
+            else begin
+              let est =
+                let rng = Rng.create seed in
+                match meth with
+                | `Is -> Yield.importance ~a ~mu ~t_cons ~rng ~samples ()
+                | `Mc -> Yield.brute_force ~a ~mu ~t_cons ~rng ~samples ()
+              in
+              let f key v = Harness.float_bits_equal (Harness.float_member resp key) v in
+              let n key v = Serve.Wire.member key resp = Some (Serve.Wire.Int v) in
+              let good =
+                f "t_cons" est.Yield.t_cons
+                && f "p_fail" est.Yield.p_fail
+                && f "sn_p_fail" est.Yield.sn_p_fail
+                && f "std_err" est.Yield.std_err
+                && f "sn_std_err" est.Yield.sn_std_err
+                && f "ess" est.Yield.ess
+                && f "shift_norm" est.Yield.shift_norm
+                && n "samples" est.Yield.samples
+                && n "hits" est.Yield.hits
+                && n "dominant" est.Yield.dominant
+              in
+              if not good then incr wrong
+            end
+        in
+        (* the serving tune check mirrors the server's own pipeline: predict
+           the unmeasured paths from the measured ones, scatter to a full
+           die, solve — the response must match bit for bit *)
+        let local_tune measured =
+          let n_dies, _ = Linalg.Mat.dims measured in
+          let pred = Core.Predictor.predict_all predictor ~measured in
+          let full = Array.make_matrix n_dies n_paths 0.0 in
+          for i = 0 to n_dies - 1 do
+            Array.iteri (fun j p -> full.(i).(p) <- Linalg.Mat.get measured i j) rep;
+            Array.iteri (fun j p -> full.(i).(p) <- Linalg.Mat.get pred i j) rem
+          done;
+          Array.init n_dies (fun i ->
+              Tune.solve { Tune.delays = full.(i); t_clk = t_cons; buffers })
+        in
+        let check_tune measured =
+          match
+            send (Serve.Client.tune_request ~t_clk:t_cons ~buffers ~measured ())
+          with
+          | None -> ()
+          | Some resp ->
+            if Serve.Wire.member "ok" resp <> Some (Serve.Wire.Bool true) then
+              incr failures
+            else begin
+              let want = local_tune measured in
+              let rows =
+                match Serve.Wire.member "results" resp with
+                | Some (Serve.Wire.List l) -> Array.of_list l
+                | _ -> [||]
+              in
+              let good =
+                Array.length rows = Array.length want
+                && Array.for_all2
+                     (fun row w ->
+                       match w with
+                       | Tune.Infeasible _ -> false
+                       | Tune.Feasible asg ->
+                         let levels_ok =
+                           match Serve.Wire.member "levels" row with
+                           | Some (Serve.Wire.List ls) ->
+                             let got =
+                               List.filter_map
+                                 (function Serve.Wire.Int n -> Some n | _ -> None)
+                                 ls
+                             in
+                             got = Array.to_list asg.Tune.levels
+                           | _ -> false
+                         in
+                         levels_ok
+                         && Harness.float_bits_equal (Harness.float_member row "cost") asg.Tune.cost
+                         && Harness.float_bits_equal (Harness.float_member row "slack_ps")
+                              asg.Tune.slack_ps
+                         && Serve.Wire.member "exact" row
+                            = Some (Serve.Wire.Bool asg.Tune.exact))
+                     rows want
+              in
+              if not good then incr wrong
+            end
+        in
+        for k = 0 to yield_reqs - 1 do
+          let meth = if k mod 3 = 2 then `Mc else `Is in
+          check_yield ~meth ~samples:(4096 + (1024 * k)) ~seed:(100 + k)
+        done;
+        (* measured batches drawn from feasible dies only: one infeasible
+           die fails a whole tune request by design, checked separately *)
+        let mc2 =
+          Timing.Monte_carlo.path_delays
+            (Timing.Monte_carlo.sample (Rng.create 1806) pool
+               ~n:(tune_reqs * tune_batch))
+        in
+        for k = 0 to tune_reqs - 1 do
+          let rows =
+            Linalg.Mat.init tune_batch n_paths (fun i j ->
+                Linalg.Mat.get mc2 ((k * tune_batch) + i) j)
+          in
+          let measured = Linalg.Mat.select_cols rows rep in
+          (* t_clk = t_cons: calibrated so failure is rare, every batch
+             feasible without any buffer pull *)
+          check_tune measured
+        done;
+        (* the typed-infeasibility path: a clock no offset can reach must
+           answer the semantic code 65, not a transport error *)
+        let measured = Linalg.Mat.select_cols dies rep in
+        let one =
+          Linalg.Mat.init 1 (Array.length rep) (fun _ j ->
+              Linalg.Mat.get measured 0 j)
+        in
+        (match
+           send
+             (Serve.Client.tune_request ~t_clk:1.0 ~buffers ~measured:one ())
+         with
+         | None -> ()
+         | Some resp ->
+           infeasible_code_ok :=
+             Serve.Wire.member "ok" resp = Some (Serve.Wire.Bool false)
+             && Serve.Wire.member "code" resp = Some (Serve.Wire.Int 65)));
+    Harness.phase h "E18 drain";
+    Harness.stop h = Unix.WEXITED 0
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Chaos.stop proxy;
-      try Sys.remove sock with Sys_error _ -> ())
-    finish;
-  let _, status = Unix.waitpid [] pid in
-  let server_exit_ok = status = Unix.WEXITED 0 in
+  Sys.remove artifact_path;
   Printf.fprintf oc
     "serving: %d yield + %d tune requests through the chaos proxy: %d wrong, \
      %d failed; infeasible -> code 65: %b; server exit clean: %b\n%!"
     yield_reqs tune_reqs !wrong !failures !infeasible_code_ok server_exit_ok;
   let ok =
-    is_est.Yield.hits > 0 && mc_est.Yield.hits > 0
+    watchdog_ok
+    && is_est.Yield.hits > 0 && mc_est.Yield.hits > 0
     && Float.is_finite agreement
     && agreement <= agreement_gate
     && Float.is_finite reduction
@@ -466,9 +440,5 @@ let run ?(oc = stdout) ?out profile =
       ok;
     }
   in
-  (match out with
-   | Some path ->
-     Core.Report.write_file path (json_of_result result);
-     Printf.fprintf oc "wrote %s\n" path
-   | None -> ());
+  Harness.write_json ~oc out (json_of_result result);
   result

@@ -18,7 +18,7 @@
       the die distribution, recording the feasible/infeasible split,
       the cost distribution, and that every solve was exact (the
       branch-and-bound node cap never bound);
-    - {b serving}: forks a real [Serve.run] server, fronts it with the
+    - {b serving}: spawns a real [Serve.run] server, fronts it with the
       fault-injecting {!Chaos} proxy, and answers [yield] and [tune]
       requests through the faulty link with bounded retries; every
       ["ok":true] answer must be bit-identical to the local recompute

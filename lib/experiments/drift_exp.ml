@@ -25,26 +25,6 @@ let eps = 0.05
    baseline error *)
 let recovery_gate = 1.2
 
-let rows_of m i0 k =
-  let _, c = Linalg.Mat.dims m in
-  Linalg.Mat.init k c (fun i j -> Linalg.Mat.get m (i0 + i) j)
-
-let bits_equal m1 m2 =
-  Linalg.Mat.dims m1 = Linalg.Mat.dims m2
-  &&
-  let r, c = Linalg.Mat.dims m1 in
-  try
-    for i = 0 to r - 1 do
-      for j = 0 to c - 1 do
-        if
-          Int64.bits_of_float (Linalg.Mat.get m1 i j)
-          <> Int64.bits_of_float (Linalg.Mat.get m2 i j)
-        then raise Exit
-      done
-    done;
-    true
-  with Exit -> false
-
 let mean_abs_err pred truth =
   let n, m = Linalg.Mat.dims pred in
   let acc = ref 0.0 in
@@ -54,18 +34,6 @@ let mean_abs_err pred truth =
     done
   done;
   !acc /. float_of_int (n * m)
-
-let int_member resp key =
-  match Serve.Wire.member key resp with Some (Serve.Wire.Int n) -> n | _ -> 0
-
-let float_member resp key =
-  match Serve.Wire.member key resp with
-  | Some (Serve.Wire.Float x) -> x
-  | Some (Serve.Wire.Int n) -> float_of_int n
-  | _ -> Float.nan
-
-let string_member resp key =
-  match Serve.Wire.member key resp with Some (Serve.Wire.String s) -> s | _ -> ""
 
 let json_of_result r =
   let open Core.Report in
@@ -114,37 +82,16 @@ let run ?(oc = stdout) ?out profile =
     "E17: self-healing soak (%s; %d healthy dies, process shift, up to %d \
      shifted dies, auto re-selection armed)\n%!"
     bench_name pre_drift_dies (post_batches * batch);
-  let preset =
-    match Circuit.Benchmarks.find bench_name with
-    | Some p -> p
-    | None ->
-      Core.Errors.raise_error
-        (Core.Errors.Invalid_input "Drift_exp: s1423 preset missing")
-  in
-  let _, setup =
-    Table1.setup_for profile preset ~t_cons_scale:1.0
-      ~max_paths:profile.Profile.max_paths
-  in
+  let setup = Table1.setup_named profile bench_name in
   let sel = Core.Pipeline.approximate_selection setup ~eps in
   let pool = setup.Core.Pipeline.pool in
   let t_cons = setup.Core.Pipeline.t_cons in
-  let a = Timing.Paths.a_mat pool in
-  let mu = Timing.Paths.mu_paths pool in
-  let artifact =
-    Store.of_selection ~fingerprint:"bench:e17 s1423"
-      ~n_segments:(Timing.Paths.num_segments pool)
-      ~t_cons ~eps ~a ~mu sel
-  in
+  let artifact = Harness.artifact ~fingerprint:"bench:e17 s1423" ~eps setup sel in
   let n_paths = artifact.Store.n_paths in
   (* the artifact file doubles as the reload path the background
      re-selection writes through *)
-  let store_path = Filename.temp_file "pathsel-e17" ".psa" in
-  (match Store.save store_path artifact with
-   | Ok () -> ()
-   | Error e -> Core.Errors.raise_error e);
-  let sock = Filename.temp_file "pathsel-e17" ".sock" in
-  Sys.remove sock;
-  let server_addr = Serve.Unix_sock sock in
+  let store_path = Harness.artifact_file "pathsel-e17" artifact in
+  let server_addr = Harness.temp_socket "pathsel-e17" in
   let monitor_cfg =
     {
       Serve.Monitor.default_config with
@@ -193,80 +140,78 @@ let run ?(oc = stdout) ?out profile =
     Printf.sprintf "per-path scale ~ N(1.06, 0.02) + per-die drift N(0, %.1f ps)"
       drift_sigma_ps
   in
-  flush oc;
-  flush stdout;
-  let pid = Unix.fork () in
-  if pid = 0 then begin
-    match Serve.run ~config ~reload_from:store_path artifact server_addr with
-    | () -> Unix._exit 0
-    | exception (Core.Errors.Error _ | Unix.Unix_error _ | Sys_error _) ->
-      Unix._exit 1
-  end;
-  let conn = Serve.Client.connect server_addr in
   let failures = ref 0 in
   let wrong = ref 0 in
-  (* the client tracks the serving split through the artifact file: a
-     generation change in a response means the server hot-swapped, so
-     the representative set (and observe's column layout) may differ *)
-  let split_of store =
-    let p = Store.predictor store in
-    (p, Core.Predictor.rep_indices p, Core.Predictor.rem_indices p)
-  in
-  let cur_gen = ref 1 in
-  let cur = ref (split_of artifact) in
-  let refresh_split () =
-    match Store.load store_path with
-    | Ok s -> cur := split_of s
-    | Error _ -> ()
-  in
-  let note_gen resp =
-    let g = int_member resp "gen" in
-    if g > !cur_gen then begin
-      cur_gen := g;
-      refresh_split ()
-    end
-  in
-  let observe_rows rows =
-    let send () =
-      let _, rep, rem = !cur in
-      Serve.Client.observe conn
-        ~measured:(Linalg.Mat.select_cols rows rep)
-        ~truth:(Linalg.Mat.select_cols rows rem)
+  let ( ( ( baseline_err_ps, detection_dies, reselects, reselect_failures,
+            reselect_ms, generation, recovered, recovery_err_ps ),
+          server_exit_ok ),
+        watchdog_ok ) =
+    Harness.session ~oc ~budget:(Harness.budget profile) "E17 healthy stream"
+    @@ fun h ->
+    ignore
+      (Harness.start h ~config ~reload_from:store_path ~artifact:store_path server_addr);
+    let conn = Serve.Client.connect server_addr in
+    (* the client tracks the serving split through the artifact file: a
+       generation change in a response means the server hot-swapped, so
+       the representative set (and observe's column layout) may differ *)
+    let split_of store =
+      let p = Store.predictor store in
+      (p, Core.Predictor.rep_indices p, Core.Predictor.rem_indices p)
     in
-    match send () with
-    | Ok resp -> note_gen resp
-    | Error _ ->
-      (* most likely a stale split across a hot swap: re-read the
-         artifact and retry once before calling it a failure *)
-      refresh_split ();
-      (match send () with
-       | Ok resp -> note_gen resp
-       | Error _ -> incr failures)
-  in
-  let server_stats () =
-    match Serve.Client.stats conn with
-    | Ok resp ->
-      note_gen resp;
-      Some resp
-    | Error _ ->
-      incr failures;
-      None
-  in
-  let predict_scored ~predictor ~measured ~truth =
-    match Serve.Client.predict conn measured with
-    | Ok (m, _resp) ->
-      if not (bits_equal m (Core.Predictor.predict_all predictor ~measured))
-      then incr wrong;
-      mean_abs_err m truth
-    | Error _ ->
-      incr failures;
-      Float.nan
-  in
-  let finish () =
+    let cur_gen = ref 1 in
+    let cur = ref (split_of artifact) in
+    let refresh_split () =
+      match Store.load store_path with
+      | Ok s -> cur := split_of s
+      | Error _ -> ()
+    in
+    let note_gen resp =
+      let g = Harness.int_member resp "gen" in
+      if g > !cur_gen then begin
+        cur_gen := g;
+        refresh_split ()
+      end
+    in
+    let observe_rows rows =
+      let send () =
+        let _, rep, rem = !cur in
+        Serve.Client.observe conn
+          ~measured:(Linalg.Mat.select_cols rows rep)
+          ~truth:(Linalg.Mat.select_cols rows rem)
+      in
+      match send () with
+      | Ok resp -> note_gen resp
+      | Error _ ->
+        (* most likely a stale split across a hot swap: re-read the
+           artifact and retry once before calling it a failure *)
+        refresh_split ();
+        (match send () with
+         | Ok resp -> note_gen resp
+         | Error _ -> incr failures)
+    in
+    let server_stats () =
+      match Serve.Client.stats conn with
+      | Ok resp ->
+        note_gen resp;
+        Some resp
+      | Error _ ->
+        incr failures;
+        None
+    in
+    let predict_scored ~predictor ~measured ~truth =
+      match Serve.Client.predict conn measured with
+      | Ok (m, _resp) ->
+        if not (Harness.bits_equal m (Core.Predictor.predict_all predictor ~measured))
+        then incr wrong;
+        mean_abs_err m truth
+      | Error _ ->
+        incr failures;
+        Float.nan
+    in
     (* ---- phase A: healthy stream calibrates the detector, then the
        pre-drift baseline error is taken on a holdout batch *)
     for k = 0 to pre_batches - 1 do
-      observe_rows (rows_of d_pre (k * batch) batch);
+      observe_rows (Harness.rows_of d_pre (k * batch) batch);
       Thread.delay 0.02
     done;
     Thread.delay 0.5;
@@ -276,7 +221,7 @@ let run ?(oc = stdout) ?out profile =
         | Some mon ->
           Printf.fprintf oc
             "healthy stream: %d dies observed, state %s (calibrating %s)\n%!"
-            (int_member mon "observed") (string_member mon "state")
+            (Harness.int_member mon "observed") (Harness.string_member mon "state")
             (match Serve.Wire.member "calibrating" mon with
              | Some (Serve.Wire.Bool b) -> string_of_bool b
              | _ -> "?")
@@ -290,23 +235,24 @@ let run ?(oc = stdout) ?out profile =
     in
     Printf.fprintf oc "baseline: %.3f ps mean abs error on %d holdout dies\n%!"
       baseline_err_ps holdout;
+    Harness.phase h "E17 shifted stream";
     (* ---- phase B: the shifted world streams in; watch the detector
        leave healthy and the background re-selection swap artifacts *)
     let detection = ref (-1) in
     for k = 0 to post_batches - 1 do
-      observe_rows (rows_of d_post (k * batch) batch);
+      observe_rows (Harness.rows_of d_post (k * batch) batch);
       Thread.delay 0.15;
       match server_stats () with
       | Some resp ->
         (match Serve.Wire.member "monitor" resp with
          | Some mon ->
-           let st = string_member mon "state" in
-           let resel = int_member mon "reselects" in
+           let st = Harness.string_member mon "state" in
+           let resel = Harness.int_member mon "reselects" in
            if !detection < 0 && (st <> "healthy" || resel > 0) then begin
              detection := (k + 1) * batch;
              Printf.fprintf oc
                "shift detected within %d dies (state %s, cusum %.1f)\n%!"
-               !detection st (float_member mon "cusum")
+               !detection st (Harness.float_member mon "cusum")
            end
          | None -> ())
       | None -> ()
@@ -319,18 +265,19 @@ let run ?(oc = stdout) ?out profile =
       | Some resp ->
         let gen =
           match Serve.Wire.member "artifact" resp with
-          | Some art -> int_member art "generation"
+          | Some art -> Harness.int_member art "generation"
           | None -> 0
         in
         (match Serve.Wire.member "monitor" resp with
          | Some mon ->
-           ( int_member mon "reselects",
-             int_member mon "reselect_failures",
-             float_member mon "last_reselect_ms",
+           ( Harness.int_member mon "reselects",
+             Harness.int_member mon "reselect_failures",
+             Harness.float_member mon "last_reselect_ms",
              gen )
          | None -> (0, 0, Float.nan, gen))
       | None -> (0, 0, Float.nan, 0)
     in
+    Harness.phase h "E17 recovery check";
     (* ---- phase C: the swapped-in artifact (re-read from the shared
        file) must predict the shifted world within the recovery gate *)
     let recovered_artifact =
@@ -364,23 +311,18 @@ let run ?(oc = stdout) ?out profile =
       "recovery: %d reselect(s) (%d failed), generation %d, %.0f ms wall; \
        %.3f ps on shifted holdout\n%!"
       reselects reselect_failures generation reselect_ms recovery_err_ps;
-    Serve.Client.shutdown conn;
     Serve.Client.close conn;
-    ( baseline_err_ps, !detection, reselects, reselect_failures, reselect_ms,
-      generation, recovered, recovery_err_ps )
+    Harness.phase h "E17 drain";
+    let server_exit_ok = Harness.stop h = Unix.WEXITED 0 in
+    ( ( baseline_err_ps, !detection, reselects, reselect_failures, reselect_ms,
+        generation, recovered, recovery_err_ps ),
+      server_exit_ok )
   in
-  let ( baseline_err_ps, detection_dies, reselects, reselect_failures,
-        reselect_ms, generation, recovered, recovery_err_ps ) =
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove sock with Sys_error _ -> ())
-      finish
-  in
-  let _, status = Unix.waitpid [] pid in
-  let server_exit_ok = status = Unix.WEXITED 0 in
   (try Sys.remove store_path with Sys_error _ -> ());
   let recovery_ratio = recovery_err_ps /. baseline_err_ps in
   let ok =
-    detection_dies > 0
+    watchdog_ok
+    && detection_dies > 0
     && detection_dies <= detection_bound
     && recovered
     && Float.is_finite recovery_ratio
@@ -416,9 +358,5 @@ let run ?(oc = stdout) ?out profile =
       ok;
     }
   in
-  (match out with
-   | Some path ->
-     Core.Report.write_file path (json_of_result result);
-     Printf.fprintf oc "wrote %s\n" path
-   | None -> ());
+  Harness.write_json ~oc out (json_of_result result);
   result

@@ -27,34 +27,6 @@ let eps = 0.05
    crash can add) plus startup margin. *)
 let recovery_bound_s = 10.0
 
-let bits_equal m1 m2 =
-  Linalg.Mat.dims m1 = Linalg.Mat.dims m2
-  &&
-  let r, c = Linalg.Mat.dims m1 in
-  try
-    for i = 0 to r - 1 do
-      for j = 0 to c - 1 do
-        if
-          Int64.bits_of_float (Linalg.Mat.get m1 i j)
-          <> Int64.bits_of_float (Linalg.Mat.get m2 i j)
-        then raise Exit
-      done
-    done;
-    true
-  with Exit -> false
-
-let int_member resp key =
-  match Serve.Wire.member key resp with Some (Serve.Wire.Int n) -> n | _ -> 0
-
-let float_member resp key =
-  match Serve.Wire.member key resp with
-  | Some (Serve.Wire.Float x) -> x
-  | Some (Serve.Wire.Int n) -> float_of_int n
-  | _ -> Float.nan
-
-let string_member resp key =
-  match Serve.Wire.member key resp with Some (Serve.Wire.String s) -> s | _ -> ""
-
 let json_of_result r =
   let open Core.Report in
   let timing_note =
@@ -153,37 +125,15 @@ let run ?(oc = stdout) ?out profile =
      process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let preset =
-    match Circuit.Benchmarks.find bench_name with
-    | Some p -> p
-    | None ->
-      Core.Errors.raise_error
-        (Core.Errors.Invalid_input "Recover_exp: s1423 preset missing")
-  in
-  let _, setup =
-    Table1.setup_for profile preset ~t_cons_scale:1.0
-      ~max_paths:profile.Profile.max_paths
-  in
+  let setup = Table1.setup_named profile bench_name in
   let sel = Core.Pipeline.approximate_selection setup ~eps in
   let pool = setup.Core.Pipeline.pool in
-  let t_cons = setup.Core.Pipeline.t_cons in
-  let a = Timing.Paths.a_mat pool in
-  let mu = Timing.Paths.mu_paths pool in
-  let artifact =
-    Store.of_selection ~fingerprint:"bench:e20 s1423"
-      ~n_segments:(Timing.Paths.num_segments pool)
-      ~t_cons ~eps ~a ~mu sel
-  in
+  let artifact = Harness.artifact ~fingerprint:"bench:e20 s1423" ~eps setup sel in
   let n_paths = artifact.Store.n_paths in
-  let store_path = Filename.temp_file "pathsel-e20" ".psa" in
-  (match Store.save store_path artifact with
-   | Ok () -> ()
-   | Error e -> Core.Errors.raise_error e);
+  let store_path = Harness.artifact_file "pathsel-e20" artifact in
   let wal_dir = Filename.temp_file "pathsel-e20" ".wal" in
   Sys.remove wal_dir;
-  let sock = Filename.temp_file "pathsel-e20" ".sock" in
-  Sys.remove sock;
-  let server_addr = Serve.Unix_sock sock in
+  let server_addr = Harness.temp_socket "pathsel-e20" in
   (* the soak streams healthy dies only: push the drift thresholds out
      of reach so no background re-selection can swap the model under
      the bit-exactness gates (the detector still runs — its cusum and
@@ -261,17 +211,6 @@ let run ?(oc = stdout) ?out profile =
   let generations = ref [] in
   let max_recovery = ref 0.0 in
   let die_idx = ref 0 in
-  let fork_server () =
-    flush oc;
-    flush stdout;
-    let pid = Unix.fork () in
-    if pid = 0 then begin
-      match Serve.run ~config ~reload_from:store_path artifact server_addr with
-      | () -> Unix._exit 0
-      | exception _ -> Unix._exit 1
-    end;
-    pid
-  in
   let send_batch conn ~expect_ack =
     let measured, truth = batch_at !die_idx in
     let expected = batch_obs ~predictor ~robust ~rep ~rem ~measured ~truth in
@@ -279,7 +218,7 @@ let run ?(oc = stdout) ?out profile =
     incr batches_sent;
     match Serve.Client.observe conn ~measured ~truth with
     | Ok resp ->
-      let queued = int_member resp "queued" in
+      let queued = Harness.int_member resp "queued" in
       let journaled = Serve.Wire.member "journaled" resp in
       if journaled <> Some (Serve.Wire.Bool true) then incr wrong;
       if queued <> List.length expected then incr wrong;
@@ -301,7 +240,7 @@ let run ?(oc = stdout) ?out profile =
   let resolve_tail resp =
     match Serve.Wire.member "durability" resp with
     | Some dur ->
-      let k = int_member dur "journaled" - !known_n in
+      let k = Harness.int_member dur "journaled" - !known_n in
       let tail = !pending_tail in
       if k < 0 || k > List.length tail then incr wrong
       else if k > 0 then begin
@@ -314,77 +253,36 @@ let run ?(oc = stdout) ?out profile =
   let check_predict conn ~expect_ack =
     match Serve.Client.predict conn hold_measured with
     | Ok (m, _) ->
-      if not (bits_equal m hold_expected) then incr wrong;
+      if not (Harness.bits_equal m hold_expected) then incr wrong;
       true
     | Error _ ->
       if expect_ack then incr clean_failures;
       false
   in
-  let connect_and_measure t0 =
-    match Serve.Client.connect ~retries:100 server_addr with
-    | conn ->
-      if Serve.Client.ping conn then begin
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt > !max_recovery then max_recovery := dt;
-        Some conn
-      end
-      else begin
-        Serve.Client.close conn;
-        None
-      end
-    | exception (Unix.Unix_error _ | Serve.Io.Timeout) -> None
-  in
-  (* ---- kill cycles: traffic until the armed SIGKILL lands *)
-  for cycle = 1 to cycles do
+  (* restart-to-first-answer: spawn, wait for the first pong, connect *)
+  let restart h =
     let t0 = Unix.gettimeofday () in
-    let pid = fork_server () in
-    (match connect_and_measure t0 with
-     | None ->
-       incr clean_failures;
-       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-       ignore (Unix.waitpid [] pid)
-     | Some conn ->
-       (match Serve.Client.stats conn with
-        | Ok resp ->
-          generations := int_member resp "gen" :: !generations;
-          resolve_tail resp
-        | Error _ -> incr clean_failures);
-       (* armed only once the server answers: every kill lands under
-          live traffic, at a uniformly random point in append/fsync/
-          checkpoint activity *)
-       let killer =
-         Chaos.Killer.arm ~seed:(0xE20 + cycle) ~min_delay:0.05 ~max_delay:0.6
-           pid
-       in
-       let alive = ref true in
-       let n = ref 0 in
-       while !alive do
-         alive := send_batch conn ~expect_ack:false;
-         incr n;
-         if !alive && !n mod 3 = 0 then
-           alive := check_predict conn ~expect_ack:false
-       done;
-       Serve.Client.close conn;
-       let _, status = Unix.waitpid [] pid in
-       if Chaos.Killer.cancel killer then incr kills;
-       (match status with
-        | Unix.WSIGNALED s when s = Sys.sigkill -> ()
-        | Unix.WEXITED 0 ->
-          (* the kill raced process exit; rare, not a failure *)
-          ()
-        | _ -> incr clean_failures);
-       Printf.fprintf oc
-         "cycle %2d: killed after %.2fs, %d batches in flight so far\n%!"
-         cycle (Chaos.Killer.delay killer) !batches_sent)
-  done;
-  (* ---- final cycle: recover once more, stream without a killer, read
-     the recovered state, drain cleanly *)
-  let t0 = Unix.gettimeofday () in
-  let pid = fork_server () in
+    match
+      Harness.start h ~config ~reload_from:store_path ~artifact:store_path
+        server_addr
+    with
+    | exception Core.Errors.Error _ ->
+      incr clean_failures;
+      None
+    | pid ->
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt > !max_recovery then max_recovery := dt;
+      (match Serve.Client.connect server_addr with
+       | conn -> Some (pid, conn)
+       | exception (Unix.Unix_error _ | Serve.Io.Timeout) ->
+         incr clean_failures;
+         ignore (Harness.kill h);
+         None)
+  in
   let final conn =
     (match Serve.Client.stats conn with
      | Ok resp ->
-       generations := int_member resp "gen" :: !generations;
+       generations := Harness.int_member resp "gen" :: !generations;
        resolve_tail resp
      | Error _ -> incr clean_failures);
     for _ = 1 to final_batches do
@@ -402,8 +300,8 @@ let run ?(oc = stdout) ?out profile =
             (Serve.Wire.member "monitor" resp, Serve.Wire.member "durability" resp)
           with
           | Some mon, Some dur ->
-            int_member mon "observed" + int_member mon "skipped"
-            >= int_member dur "journaled"
+            Harness.int_member mon "observed" + Harness.int_member mon "skipped"
+            >= Harness.int_member dur "journaled"
           | _ -> true
         in
         if mon_done || Unix.gettimeofday () > deadline then Some resp
@@ -416,20 +314,60 @@ let run ?(oc = stdout) ?out profile =
         None
     in
     let last_stats = settle () in
-    Serve.Client.shutdown conn;
     Serve.Client.close conn;
     last_stats
   in
-  let last_stats =
-    match connect_and_measure t0 with
-    | Some conn -> final conn
-    | None ->
-      incr clean_failures;
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      None
+  let (last_stats, server_clean_exit), watchdog_ok =
+    Harness.session ~oc ~budget:(Harness.budget profile) "E20 kill cycles"
+    @@ fun h ->
+    (* ---- kill cycles: traffic until the armed SIGKILL lands *)
+    for cycle = 1 to cycles do
+      Harness.phase h (Printf.sprintf "E20 kill cycle %d" cycle);
+      match restart h with
+      | None -> ()
+      | Some (pid, conn) ->
+        (match Serve.Client.stats conn with
+         | Ok resp ->
+           generations := Harness.int_member resp "gen" :: !generations;
+           resolve_tail resp
+         | Error _ -> incr clean_failures);
+        (* armed only once the server answers: every kill lands under
+           live traffic, at a uniformly random point in append/fsync/
+           checkpoint activity *)
+        let killer =
+          Chaos.Killer.arm ~seed:(0xE20 + cycle) ~min_delay:0.05 ~max_delay:0.6
+            pid
+        in
+        let alive = ref true in
+        let n = ref 0 in
+        while !alive do
+          alive := send_batch conn ~expect_ack:false;
+          incr n;
+          if !alive && !n mod 3 = 0 then
+            alive := check_predict conn ~expect_ack:false
+        done;
+        Serve.Client.close conn;
+        let status = Harness.reap h in
+        if Chaos.Killer.cancel killer then incr kills;
+        (match status with
+         | Unix.WSIGNALED s when s = Sys.sigkill -> ()
+         | Unix.WEXITED 0 ->
+           (* the kill raced process exit; rare, not a failure *)
+           ()
+         | _ -> incr clean_failures);
+        Printf.fprintf oc
+          "cycle %2d: killed after %.2fs, %d batches in flight so far\n%!"
+          cycle (Chaos.Killer.delay killer) !batches_sent
+    done;
+    (* ---- final cycle: recover once more, stream without a killer, read
+       the recovered state, drain cleanly *)
+    Harness.phase h "E20 final cycle";
+    match restart h with
+    | None -> (None, false)
+    | Some (_, conn) ->
+      let last_stats = final conn in
+      (last_stats, Harness.stop h = Unix.WEXITED 0)
   in
-  let _, status = Unix.waitpid [] pid in
-  let server_clean_exit = status = Unix.WEXITED 0 in
   (* ---- uninterrupted reference: one monitor fed the first [journaled]
      records of the sent stream, in order, with no crash anywhere *)
   let journaled, observed_final, skipped_final, mon_state, mon_cusum, mon_var =
@@ -437,12 +375,12 @@ let run ?(oc = stdout) ?out profile =
     | Some resp ->
       let dur = Serve.Wire.member "durability" resp in
       let mon = Serve.Wire.member "monitor" resp in
-      ( (match dur with Some d -> int_member d "journaled" | None -> 0),
-        (match mon with Some m -> int_member m "observed" | None -> 0),
-        (match mon with Some m -> int_member m "skipped" | None -> 0),
-        (match mon with Some m -> string_member m "state" | None -> ""),
-        (match mon with Some m -> float_member m "cusum" | None -> Float.nan),
-        (match mon with Some m -> float_member m "var_ratio" | None -> Float.nan)
+      ( (match dur with Some d -> Harness.int_member d "journaled" | None -> 0),
+        (match mon with Some m -> Harness.int_member m "observed" | None -> 0),
+        (match mon with Some m -> Harness.int_member m "skipped" | None -> 0),
+        (match mon with Some m -> Harness.string_member m "state" | None -> ""),
+        (match mon with Some m -> Harness.float_member m "cusum" | None -> Float.nan),
+        (match mon with Some m -> Harness.float_member m "var_ratio" | None -> Float.nan)
       )
     | None -> (0, 0, 0, "", Float.nan, Float.nan)
   in
@@ -477,11 +415,11 @@ let run ?(oc = stdout) ?out profile =
     in
     mono generations
   in
-  (try Sys.remove sock with Sys_error _ -> ());
   (try Sys.remove store_path with Sys_error _ -> ());
   rm_rf wal_dir;
   let ok =
-    !kills >= Int.max 1 (cycles - 1)
+    watchdog_ok
+    && !kills >= Int.max 1 (cycles - 1)
     && lost_acked = 0
     && !wrong = 0
     && !clean_failures = 0
@@ -524,9 +462,5 @@ let run ?(oc = stdout) ?out profile =
       ok;
     }
   in
-  (match out with
-   | Some path ->
-     Core.Report.write_file path (json_of_result result);
-     Printf.fprintf oc "wrote %s\n" path
-   | None -> ());
+  Harness.write_json ~oc out (json_of_result result);
   result

@@ -22,11 +22,6 @@ type result = {
 
 let eps = 0.05
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
-
 (* one warmup, then best of [reps]: the minimum is the least noisy
    estimator for a single-process kernel benchmark *)
 let best_of reps f =
@@ -34,27 +29,11 @@ let best_of reps f =
   let best = ref infinity in
   let last = ref None in
   for _ = 1 to reps do
-    let v, dt = time f in
+    let v, dt = Harness.time f in
     last := Some v;
     if dt < !best then best := dt
   done;
   (Option.get !last, !best)
-
-let bits_equal m1 m2 =
-  Linalg.Mat.dims m1 = Linalg.Mat.dims m2
-  &&
-  let r, c = Linalg.Mat.dims m1 in
-  try
-    for i = 0 to r - 1 do
-      for j = 0 to c - 1 do
-        if
-          Int64.bits_of_float (Linalg.Mat.get m1 i j)
-          <> Int64.bits_of_float (Linalg.Mat.get m2 i j)
-        then raise Exit
-      done
-    done;
-    true
-  with Exit -> false
 
 let speedup_at times d =
   match (List.assoc_opt 1 times, List.assoc_opt d times) with
@@ -104,7 +83,7 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
           let v, dt = best_of reps f in
           (match !reference with
            | None -> reference := Some v
-           | Some r -> if not (bits_equal r v) then identical := false);
+           | Some r -> if not (Harness.bits_equal r v) then identical := false);
           (d, dt *. 1000.0))
         counts
     in
@@ -152,7 +131,7 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
       (fun d ->
         Par.Pool.set_size d;
         let y, dt =
-          time (fun () ->
+          Harness.time (fun () ->
               Timing.Monte_carlo.circuit_yield dm ~t_cons ~rng:(Rng.create 99)
                 ~samples:mc_samples)
         in
@@ -178,7 +157,7 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
         Timing.Monte_carlo.path_delays mc
       in
       let reference = delays_at 1 in
-      List.for_all (fun d -> bits_equal reference (delays_at d)) (List.tl counts)
+      List.for_all (fun d -> Harness.bits_equal reference (delays_at d)) (List.tl counts)
   in
   (* end to end: netlist -> SSTA/yield -> extraction -> SVD -> Algorithm 1
      -> Monte Carlo evaluation, the whole [pathsel select] hot path *)

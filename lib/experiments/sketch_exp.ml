@@ -49,11 +49,6 @@ let ratio_gate = 1.25
    which would blow past it by orders of magnitude *)
 let smoke_budget_s = 30.0
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
-
 let overlap_fraction a b =
   if Array.length a = 0 then 1.0
   else begin
@@ -80,18 +75,18 @@ let quality_on ~qname ~gates ~max_paths ~cseed ~mc_samples =
   let pool = setup.Core.Pipeline.pool in
   let sketch = { Core.Select.default_sketch with sketch_seed = cseed } in
   let sel_exact, t_target =
-    time (fun () ->
+    Harness.time (fun () ->
         Core.Pipeline.approximate_selection ~engine:Core.Select.Exact setup ~eps)
   in
   ignore t_target;
   let r = max 1 (Array.length sel_exact.Core.Select.indices) in
   let ex, t_exact_s =
-    time (fun () ->
+    Harness.time (fun () ->
         Core.Select.select_with_size ~engine:Core.Select.Exact
           ~a:(Timing.Paths.a_mat pool) ~mu:(Timing.Paths.mu_paths pool) ~r ())
   in
   let sk, t_sketch_s =
-    time (fun () ->
+    Harness.time (fun () ->
         Core.Select.select_with_size ~engine:Core.Select.Sketched ~sketch
           ~a:(Timing.Paths.a_mat pool) ~mu:(Timing.Paths.mu_paths pool) ~r ())
   in
@@ -130,21 +125,21 @@ let scale_on ~paths ~seed =
   let segments = max 200 (paths / 20) in
   let vars = 2000 in
   let pool, build_s =
-    time (fun () ->
+    Harness.time (fun () ->
         Timing.Pool_stream.synthetic ~seed ~paths ~segments ~vars ~segs_per_path:8
           ~vars_per_seg:3 ())
   in
   let ops = Timing.Pool_stream.op pool in
   let eta = Core.Config.default.Core.Config.eta in
   let (f, tail), sketch_s =
-    time (fun () ->
+    Harness.time (fun () ->
         Linalg.Rsvd.factor_adaptive ~tail_energy:(eta *. eta) ~seed ops)
   in
   let svd = Linalg.Rsvd.to_svd f in
   let r =
     max 1 (Core.Effective_rank.of_singular_values ~eta svd.Linalg.Svd.s)
   in
-  let indices, qr_s = time (fun () -> Core.Subset_select.rows_from_svd svd ~r) in
+  let indices, qr_s = Harness.time (fun () -> Core.Subset_select.rows_from_svd svd ~r) in
   {
     s_paths = paths;
     s_segments = segments;

@@ -35,5 +35,12 @@ val setup_for :
 (** Shared benchmark setup (netlist generation + pipeline preparation);
     also used by Table 2 and the other experiments. *)
 
+val preset : string -> Circuit.Benchmarks.preset
+(** The named built-in preset; [Invalid_input] when there is none. *)
+
+val setup_named : Profile.t -> string -> Core.Pipeline.setup
+(** [setup_for] the named preset at [t_cons_scale] 1 and the profile's
+    [max_paths]. *)
+
 val eps : float
 (** The paper's Table-1 tolerance: 0.05. *)

@@ -20,8 +20,12 @@
 
     Regions never nest: a [parallel_for] issued from inside a running
     region (or concurrently from another thread) runs serially in the
-    caller. After a [fork] the pool self-heals: worker domains are not
-    inherited by the child, so the child lazily respawns its own. *)
+    caller.
+
+    Processes: on OCaml 5.1, [fork] raises once any domain has ever
+    been spawned, even after every domain has been joined again.
+    A process that has run a parallel region cannot fork, so child
+    processes must be started with [Unix.create_process]. *)
 
 val size : unit -> int
 (** Effective pool size (>= 1). Does not force pool creation. *)

@@ -29,6 +29,15 @@ let check_silent rule ?path src () =
 
 let raw_domain_bad = "let d = Domain.spawn (fun () -> 1)\nlet () = Domain.join d"
 
+(* assembled, so that a plain grep for the banned call finds no source
+   line in the tree *)
+let unix_fork = "Unix" ^ ".fork"
+let fork_bad = "let spawn f = match " ^ unix_fork ^ " () with 0 -> f () | pid -> ignore pid"
+let fork_value_bad = "let spawner = " ^ unix_fork
+
+let create_process_good =
+  "let spawn exe = Unix.create_process exe [| exe |] Unix.stdin Unix.stdout Unix.stderr"
+
 let self_init_bad = "let () = Random.self_init ()"
 let ambient_random_bad = "let x = Random.int 7"
 
@@ -97,6 +106,10 @@ let unit_tests =
   [
     (* each rule: fires on bad input *)
     ("no-raw-domain fires", check_fires "no-raw-domain" raw_domain_bad);
+    ("no-fork fires in lib/", check_fires "no-fork" fork_bad);
+    ("no-fork fires in bin/", check_fires "no-fork" ~path:"bin/pathsel.ml" fork_bad);
+    ("no-fork fires in bench/", check_fires "no-fork" ~path:"bench/main.ml" fork_bad);
+    ("no-fork fires on fork as a value", check_fires "no-fork" fork_value_bad);
     ("no-self-init fires on self_init", check_fires "no-self-init" self_init_bad);
     ( "no-self-init fires on ambient Random",
       check_fires "no-self-init" ambient_random_bad );
@@ -112,6 +125,10 @@ let unit_tests =
     ("no-exit fires on failwith", check_fires "no-exit" failwith_bad);
     ("mutable-global-in-par fires", check_fires "mutable-global-in-par" par_ref_bad);
     (* each rule: negative case *)
+    ( "no-fork silent on Unix.create_process",
+      check_silent "no-fork" create_process_good );
+    ( "no-fork silent on a local function named fork",
+      check_silent "no-fork" "let fork () = 0\nlet x = fork ()" );
     ( "no-raw-domain allowed in lib/par/",
       check_silent "no-raw-domain" ~path:"lib/par/pool.ml" raw_domain_bad );
     ( "ambient Random allowed in lib/rng/",

@@ -360,29 +360,24 @@ let test_replay_idempotent () =
    SIGKILLed mid-save; the checkpoint path must always load as the old
    or the new (gen, snapshot) pair, never torn — the serve-layer twin
    of test_store's kill-mid-write *)
+let snap_after n = Monitor.snapshot (uninterrupted n)
+
+(* the kill-mid-checkpoint victim: rebuild the 14-die state, save it *)
+let crash_child = function
+  | [ path ] ->
+    let s2 = snap_after 14 in
+    Crash.ready ();
+    ignore (Durable.save_checkpoint path ~gen:2 s2)
+  | _ -> exit 2
+
 let test_checkpoint_kill_mid_write () =
-  let snap_after n =
-    let t = uninterrupted n in
-    Monitor.snapshot t
-  in
   let s1 = snap_after 6 and s2 = snap_after 14 in
   let path = Filename.temp_file "pathsel-ckpt" ".psc" in
   (match Durable.save_checkpoint path ~gen:1 s1 with
    | Ok () -> ()
    | Error e -> Alcotest.failf "seed checkpoint: %s" (Core.Errors.to_string e));
-  let fork_or_skip () =
-    try Unix.fork () with Failure _ -> Sys.remove path; Alcotest.skip ()
-  in
   for i = 0 to 19 do
-    (match fork_or_skip () with
-     | 0 ->
-       ignore (Durable.save_checkpoint path ~gen:2 s2);
-       Unix._exit 0
-     | pid ->
-       let delay = float_of_int (i mod 7) *. 0.0004 in
-       if delay > 0.0 then Unix.sleepf delay;
-       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-       ignore (Unix.waitpid [] pid));
+    Crash.kill_after ~delay:(float_of_int (i mod 7) *. 0.0004) "monitor" [ path ];
     match Durable.load_checkpoint path with
     | Error e ->
       Alcotest.failf "iteration %d: torn checkpoint: %s" i

@@ -136,28 +136,18 @@ let test_kill_mid_write () =
   let v1 = Lazy.force fixture in
   let v2 = Option.get (make_artifact 12) in
   let path = Filename.temp_file "pathsel-kill" ".psa" in
-  (match Store.save path v1 with
-   | Ok () -> ()
-   | Error e -> Alcotest.failf "seed save failed: %s" (Core.Errors.to_string e));
-  (* OCaml < 5.2 forbids fork once other domains exist, and in the
-     full multi-suite run the par suites have already spawned the
-     pool. The standalone store run (what @smoke invokes) still
-     exercises the kill loop. *)
-  let fork_or_skip () =
-    try Unix.fork () with Failure _ -> Sys.remove path; Alcotest.skip ()
-  in
+  let v2_path = Filename.temp_file "pathsel-kill-v2" ".psa" in
+  List.iter
+    (fun (p, v) ->
+      match Store.save p v with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "seed save failed: %s" (Core.Errors.to_string e))
+    [ (path, v1); (v2_path, v2) ];
   for i = 0 to 19 do
-    (match fork_or_skip () with
-     | 0 ->
-       ignore (Store.save path v2);
-       Unix._exit 0
-     | pid ->
-       (* stagger the kill so it lands before, during, and after the
-          child's write across iterations *)
-       let delay = float_of_int (i mod 7) *. 0.0004 in
-       if delay > 0.0 then Unix.sleepf delay;
-       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-       ignore (Unix.waitpid [] pid));
+    (* stagger the kill so it lands before, during, and after the
+       child's write across iterations *)
+    Crash.kill_after ~delay:(float_of_int (i mod 7) *. 0.0004) "store"
+      [ path; v2_path ];
     match Store.load path with
     | Error e ->
       Alcotest.failf "iteration %d: torn artifact: %s" i
@@ -175,7 +165,18 @@ let test_kill_mid_write () =
          && String.sub f 0 (String.length prefix) = prefix
       then try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (Sys.readdir dir);
-  Sys.remove path
+  Sys.remove path;
+  Sys.remove v2_path
+
+(* the kill-mid-write victim: copy the v2 artifact over [path] *)
+let crash_child = function
+  | [ path; v2_path ] ->
+    (match Store.load v2_path with
+     | Error _ -> exit 1
+     | Ok v2 ->
+       Crash.ready ();
+       ignore (Store.save path v2))
+  | _ -> exit 2
 
 (* a truncated artifact *file* — e.g. a copy cut short by a full disk
    or an interrupted transfer — must surface as the same typed

@@ -276,46 +276,43 @@ let test_rotation_and_prune () =
    keep accepting appends. Small segments so kills also land around
    rotation boundaries. *)
 
+let kill_config = { Wal.segment_bytes = 4096; retain_segments = 1 }
+
+(* the kill-mid-append victim: open the log and append until killed *)
+let crash_child = function
+  | [ dir ] ->
+    Crash.ready ();
+    (match Wal.open_ ~config:kill_config dir with
+     | Error _ -> exit 1
+     | Ok t ->
+       let rec spin () =
+         let first = Wal.next_seq t in
+         ignore (Wal.append t (List.init 3 (fun j -> payload (first + j))));
+         spin ()
+       in
+       spin ())
+  | _ -> exit 2
+
 let test_kill_mid_append () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let config = { Wal.segment_bytes = 4096; retain_segments = 1 } in
+  let config = kill_config in
   let t = open_wal ~config dir in
   ignore (get_ok "append" (Wal.append t [ payload 1; payload 2 ]));
   Wal.close t;
-  (* OCaml < 5.2 forbids fork after a domain has spawned; earlier
-     suites in this binary use the pool, so skip rather than fail *)
-  let fork_or_skip () =
-    try Unix.fork () with Failure _ -> Alcotest.skip ()
-  in
   for i = 0 to 19 do
-    match fork_or_skip () with
-    | 0 ->
-      (match Wal.open_ ~config dir with
-       | Error _ -> Unix._exit 1
-       | Ok t ->
-         let rec spin () =
-           let first = Wal.next_seq t in
-           ignore (Wal.append t (List.init 3 (fun j -> payload (first + j))));
-           spin ()
-         in
-         spin ())
-    | pid ->
-      let delay = float_of_int (i mod 7) *. 0.0004 in
-      if delay > 0.0 then Unix.sleepf delay;
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] pid);
-      (* recovery invariant: an intact, contiguous, content-correct
-         prefix — fold itself rejects gaps and bad CRCs *)
-      let records, high = replay dir in
-      Alcotest.(check int)
-        (Printf.sprintf "iter %d: contiguous prefix" i)
-        high (List.length records);
-      List.iteri
-        (fun j (seq, p) ->
-          Alcotest.(check int) "seq" (j + 1) seq;
-          Alcotest.(check string) "payload" (payload seq) p)
-        records
+    Crash.kill_after ~delay:(float_of_int (i mod 7) *. 0.0004) "wal" [ dir ];
+    (* recovery invariant: an intact, contiguous, content-correct
+       prefix — fold itself rejects gaps and bad CRCs *)
+    let records, high = replay dir in
+    Alcotest.(check int)
+      (Printf.sprintf "iter %d: contiguous prefix" i)
+      high (List.length records);
+    List.iteri
+      (fun j (seq, p) ->
+        Alcotest.(check int) "seq" (j + 1) seq;
+        Alcotest.(check string) "payload" (payload seq) p)
+      records
   done;
   (* the survivor is append-clean *)
   let t = open_wal ~config dir in

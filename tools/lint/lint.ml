@@ -62,6 +62,10 @@ let rules =
     ( "no-raw-domain",
       Error,
       "Domain.spawn/Domain.join outside lib/par/ (use Par.Pool)" );
+    ( "no-fork",
+      Error,
+      "Unix.fork anywhere (OCaml 5 refuses it once a domain has been spawned; \
+       use Unix.create_process)" );
     ( "no-self-init",
       Error,
       "Random.self_init anywhere; ambient Random.* in lib/ (thread Rng state)" );
@@ -376,7 +380,13 @@ let check_expr ctx (e : expression) =
        when not (in_any ctx.path ctx.cfg.raw_domain_dirs) ->
        emit ctx "no-raw-domain" e.pexp_loc
          "raw Domain.spawn/join outside lib/par/; route parallelism through \
-          Par.Pool so domain count, nesting and fork safety stay centralised"
+          Par.Pool so domain count and nesting stay centralised"
+     | Some [ "Unix"; "fork" ] ->
+       emit ctx "no-fork" e.pexp_loc
+         "Unix.fork raises on OCaml 5.1 once any domain has ever been \
+          spawned (Par.Pool spawns them lazily), so no process that might \
+          have run a parallel region can fork; start the child with \
+          Unix.create_process (see Experiments.Harness)"
      | Some ("Random" :: rest) ->
        if rest = [ "self_init" ] then
          emit ctx "no-self-init" e.pexp_loc
