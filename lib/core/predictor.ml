@@ -4,8 +4,7 @@ type t = {
   w : Linalg.Mat.t;          (* (n-r) x r prediction weights *)
   mu_rep : Linalg.Vec.t;
   mu_rem : Linalg.Vec.t;
-  omega : Linalg.Mat.t;      (* (n-r) x m error operator *)
-  sigmas : Linalg.Vec.t;
+  sigmas : Linalg.Vec.t;     (* row norms of the error operator *)
 }
 
 let complement n idx =
@@ -16,6 +15,12 @@ let complement n idx =
     if not mask.(i) then out := i :: !out
   done;
   Array.of_list !out
+
+(* Eqn (6): Omega = W A_r - A_m, subtracted in place in the product *)
+let omega ~w ~a_r ~a_m =
+  let o = Linalg.Mat.mul w a_r in
+  Linalg.Mat.sub_into ~into:o o a_m;
+  o
 
 let build ~a ~mu ~rep =
   let n, _ = Linalg.Mat.dims a in
@@ -38,8 +43,7 @@ let build ~a ~mu ~rep =
   let cross = Linalg.Mat.mul_nt a_r a_m in  (* r x (n-r) *)
   let wt = Linalg.Pinv.solve_gram gram cross in
   let w = Linalg.Mat.transpose wt in
-  let omega = Linalg.Mat.sub (Linalg.Mat.mul w a_r) a_m in
-  let sigmas = Linalg.Mat.row_norms2 omega in
+  let sigmas = Linalg.Mat.row_norms2 (omega ~w ~a_r ~a_m) in
   if Checks.on () then begin
     Checks.nan_introduced ~what:"Predictor.build (weights)"
       ~inputs:[ a.Linalg.Mat.data ] w.Linalg.Mat.data;
@@ -52,13 +56,16 @@ let build ~a ~mu ~rep =
     w;
     mu_rep = Array.map (fun i -> mu.(i)) rep;
     mu_rem = Array.map (fun i -> mu.(i)) rem;
-    omega;
     sigmas;
   }
 
 let rep_indices t = Array.copy t.rep
 
 let rem_indices t = Array.copy t.rem
+
+let mu_rep t = Array.copy t.mu_rep
+
+let mu_rem t = Array.copy t.mu_rem
 
 let weights t = t.w
 
@@ -94,7 +101,11 @@ let predict_all t ~measured =
   end;
   pred
 
-let error_operator t = t.omega
+let error_operator t ~a =
+  let n, _ = Linalg.Mat.dims a in
+  if n <> Array.length t.rep + Array.length t.rem then
+    invalid_arg "Predictor.error_operator: row count of a mismatch";
+  omega ~w:t.w ~a_r:(Linalg.Mat.select_rows a t.rep) ~a_m:(Linalg.Mat.select_rows a t.rem)
 
 let error_sigmas t = Array.copy t.sigmas
 
@@ -119,7 +130,6 @@ type raw = {
   raw_w : Linalg.Mat.t;
   raw_mu_rep : Linalg.Vec.t;
   raw_mu_rem : Linalg.Vec.t;
-  raw_omega : Linalg.Mat.t;
   raw_sigmas : Linalg.Vec.t;
 }
 
@@ -130,7 +140,6 @@ let export t =
     raw_w = Linalg.Mat.copy t.w;
     raw_mu_rep = Array.copy t.mu_rep;
     raw_mu_rem = Array.copy t.mu_rem;
-    raw_omega = Linalg.Mat.copy t.omega;
     raw_sigmas = Array.copy t.sigmas;
   }
 
@@ -160,8 +169,6 @@ let import raw =
     invalid_arg "Predictor.import: mu_rep length mismatch";
   if Array.length raw.raw_mu_rem <> nrem then
     invalid_arg "Predictor.import: mu_rem length mismatch";
-  let omr, _ = Linalg.Mat.dims raw.raw_omega in
-  if omr <> nrem then invalid_arg "Predictor.import: omega row count mismatch";
   if Array.length raw.raw_sigmas <> nrem then
     invalid_arg "Predictor.import: sigmas length mismatch";
   {
@@ -170,6 +177,5 @@ let import raw =
     w = Linalg.Mat.copy raw.raw_w;
     mu_rep = Array.copy raw.raw_mu_rep;
     mu_rem = Array.copy raw.raw_mu_rem;
-    omega = Linalg.Mat.copy raw.raw_omega;
     sigmas = Array.copy raw.raw_sigmas;
   }

@@ -7,7 +7,12 @@
 
     and the prediction error is [Delta = Omega x] with
     [Omega = A_m A_r^T (A_r A_r^T)^+ A_r - A_m], a zero-mean Gaussian
-    whose per-path standard deviation is the row norm of [Omega]. *)
+    whose per-path standard deviation is the row norm of [Omega].
+
+    A predictor holds [W], the means and those row norms, not [Omega]
+    itself: [Omega] is [(n - r) x m], far larger than [W], and only its
+    row norms enter the error bound (Eqn 7). {!error_operator} derives
+    it on demand from [A]. *)
 
 type t
 
@@ -21,6 +26,12 @@ val rep_indices : t -> int array
 
 val rem_indices : t -> int array
 (** Complement of [rep_indices], increasing. *)
+
+val mu_rep : t -> Linalg.Vec.t
+(** Nominal delays of the representative paths (a copy). *)
+
+val mu_rem : t -> Linalg.Vec.t
+(** Nominal delays of the remaining paths (a copy). *)
 
 val weights : t -> Linalg.Mat.t
 (** The [(n - r) x r] prediction weight matrix
@@ -36,8 +47,11 @@ val predict_all : t -> measured:Linalg.Mat.t -> Linalg.Mat.t
 (** Row-per-sample batch version: [measured] is
     [n_samples x r]; result is [n_samples x (n - r)]. *)
 
-val error_operator : t -> Linalg.Mat.t
-(** The [Omega] matrix of Eqn (6): [(n - r) x m]. *)
+val error_operator : t -> a:Linalg.Mat.t -> Linalg.Mat.t
+(** The [Omega] matrix of Eqn (6), [W A_r - A_m]: [(n - r) x m], freshly
+    computed from [a], which must be the matrix the predictor was built
+    from. Bit-identical to the operator whose row norms {!build} took.
+    Raises [Invalid_argument] when [a]'s row count is not [n]. *)
 
 val error_sigmas : t -> Linalg.Vec.t
 (** Per-remaining-path standard deviation of the prediction error
@@ -55,11 +69,11 @@ val per_path_epsilon : t -> kappa:float -> t_cons:float -> Linalg.Vec.t
 
 (** {1 Serialization support}
 
-    A built predictor is a pure value: the weight matrix and error
-    operator fully determine its behaviour. [export]/[import] expose it
-    as a plain record so {!Store} can persist a predictor and a serving
-    process can restore it {e bit-for-bit} without re-running the
-    Gram solve. *)
+    A built predictor is a pure value: the weight matrix, the means and
+    the error sigmas fully determine its behaviour. [export]/[import]
+    expose it as a plain record so {!Store} can persist a predictor and
+    a serving process can restore it {e bit-for-bit} without re-running
+    the Gram solve. *)
 
 type raw = {
   raw_rep : int array;          (** sorted representative indices *)
@@ -67,8 +81,7 @@ type raw = {
   raw_w : Linalg.Mat.t;         (** [(n-r) x r] prediction weights *)
   raw_mu_rep : Linalg.Vec.t;
   raw_mu_rem : Linalg.Vec.t;
-  raw_omega : Linalg.Mat.t;     (** [(n-r) x m] error operator *)
-  raw_sigmas : Linalg.Vec.t;    (** row norms of [raw_omega] *)
+  raw_sigmas : Linalg.Vec.t;    (** row norms of the error operator *)
 }
 
 val export : t -> raw

@@ -40,21 +40,20 @@ let export_blocks (t : t) =
   { gram = Linalg.Mat.copy t.gram; cross = Linalg.Mat.copy t.cross }
 
 let of_parts ~base ({ gram; cross } : blocks) =
-  let raw = Predictor.export base in
-  let r = Array.length raw.Predictor.raw_rep in
-  let nrem = Array.length raw.Predictor.raw_rem in
+  let rep = Predictor.rep_indices base and rem = Predictor.rem_indices base in
+  let r = Array.length rep and nrem = Array.length rem in
   let gr, gc = Linalg.Mat.dims gram in
   if gr <> r || gc <> r then invalid_arg "Robust.of_parts: gram dims mismatch";
   let cr, cc = Linalg.Mat.dims cross in
   if cr <> r || cc <> nrem then invalid_arg "Robust.of_parts: cross dims mismatch";
   {
     base;
-    rep = raw.Predictor.raw_rep;
-    rem = raw.Predictor.raw_rem;
+    rep;
+    rem;
     gram = Linalg.Mat.copy gram;
     cross = Linalg.Mat.copy cross;
-    mu_rep = raw.Predictor.raw_mu_rep;
-    mu_rem = raw.Predictor.raw_mu_rem;
+    mu_rep = Predictor.mu_rep base;
+    mu_rem = Predictor.mu_rem base;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -103,6 +103,14 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
       kernel "gram"
         (Printf.sprintf "%dx%d" dim (dim - 32))
         (fun () -> Linalg.Mat.gram ka);
+      (* the SVD's column sweeps and rotation blocks: u, s and v flattened
+         into one row, so [identical] covers every bit of the factors *)
+      kernel "svd"
+        (Printf.sprintf "%dx%d" dim (dim - 32))
+        (fun () ->
+          let f = Linalg.Svd.factor ka in
+          Linalg.Mat.of_rows
+            [ Array.concat [ f.Linalg.Svd.u.Linalg.Mat.data; f.Linalg.Svd.s; f.Linalg.Svd.v.Linalg.Mat.data ] ]);
     ]
   in
   let header =
@@ -244,7 +252,6 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
           @ Host.fields ()
           @ [
             ("profile", String profile.Profile.name);
-            ("cores_available", Int result.cores);
             ("domain_counts", List (List.map (fun d -> Int d) result.counts));
             ( "kernels",
               List

@@ -4,12 +4,15 @@
     Two claims are measured:
 
     - {b throughput}: the row-band parallel kernels ([Mat.mul],
-      [mul_nt], [mul_tn], [gram]), Monte Carlo sampling, and the whole
-      selection pipeline speed up with the pool size (on multicore
-      hardware; on a single-core host the scaling rows are reported but
-      the speedup gate is skipped);
+      [mul_nt], [mul_tn], [gram]), the exact SVD ([Svd.factor], whose
+      column sweeps and rotation blocks run on the pool), Monte Carlo
+      sampling, and the whole selection pipeline speed up with the pool
+      size (on multicore hardware; on a single-core host the scaling
+      rows are reported but the speedup gate is skipped);
     - {b determinism}: every output is bit-identical at every domain
-      count — parallelism never changes an answer.
+      count — parallelism never changes an answer. The [svd] row
+      compares every bit of u, s and v; like every kernel row it joins
+      [equivalence_ok], but only [mul] is held to the speedup floor.
 
     [run ~smoke:true] is the [make perf-smoke] CI gate: a scaled-down
     sweep that fails (returns [ok = false]) when equivalence breaks, or

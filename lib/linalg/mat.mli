@@ -100,6 +100,11 @@ val set_par_threshold : int -> unit
 
 val par_threshold_value : unit -> int
 
+val row_grain : int -> int
+(** [row_grain flops] is the number of rows (or columns) per parallel
+    chunk so that one chunk does about {!par_threshold_value} flops when
+    each row costs [flops]; at least 1. *)
+
 val apply : t -> Vec.t -> Vec.t
 (** Matrix-vector product. *)
 

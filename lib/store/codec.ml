@@ -123,4 +123,12 @@ module R = struct
       data.(k) <- f64 t
     done;
     Linalg.Mat.init rows cols (fun i j -> data.((i * cols) + j))
+
+  let skip_mat t =
+    let rows = len t "matrix rows" in
+    let cols = len t "matrix cols" in
+    if rows * cols > max_len then raise (Malformed "matrix size out of range");
+    need t (8 * rows * cols);
+    t.pos <- t.pos + (8 * rows * cols);
+    (rows, cols)
 end

@@ -50,4 +50,8 @@ module R : sig
   val int_array : t -> int array
   val float_array : t -> float array
   val mat : t -> Linalg.Mat.t
+
+  val skip_mat : t -> int * int
+  (** The [(rows, cols)] of a matrix field, moving past its entries
+      without reading them; checked like {!mat}. *)
 end

@@ -80,7 +80,9 @@ let encode_payload t =
   Codec.W.mat b raw.Core.Predictor.raw_w;
   Codec.W.float_array b raw.Core.Predictor.raw_mu_rep;
   Codec.W.float_array b raw.Core.Predictor.raw_mu_rem;
-  Codec.W.mat b raw.Core.Predictor.raw_omega;
+  (* Eqn (6)'s error operator: the predictor does not hold it, and the
+     selection was made on [a_mat], so it is derived from there *)
+  Codec.W.mat b (Core.Predictor.error_operator sel.Core.Select.predictor ~a:t.a_mat);
   Codec.W.float_array b raw.Core.Predictor.raw_sigmas;
   (* the robust predictor's cached reduced-system blocks *)
   Codec.W.mat b t.blocks.Core.Robust.gram;
@@ -129,18 +131,12 @@ let decode_payload ~file payload =
   let raw_w = Codec.R.mat r in
   let raw_mu_rep = Codec.R.float_array r in
   let raw_mu_rem = Codec.R.float_array r in
-  let raw_omega = Codec.R.mat r in
+  (* the error operator is re-derivable from [a_mat]: check its shape,
+     skip its entries *)
+  let omr, omc = Codec.R.skip_mat r in
   let raw_sigmas = Codec.R.float_array r in
   let raw =
-    {
-      Core.Predictor.raw_rep;
-      raw_rem;
-      raw_w;
-      raw_mu_rep;
-      raw_mu_rem;
-      raw_omega;
-      raw_sigmas;
-    }
+    { Core.Predictor.raw_rep; raw_rem; raw_w; raw_mu_rep; raw_mu_rem; raw_sigmas }
   in
   let gram = Codec.R.mat r in
   let cross = Codec.R.mat r in
@@ -159,7 +155,8 @@ let decode_payload ~file payload =
     fail "rep/rem split disagrees with path count";
   if Array.length per_path_eps <> Array.length raw.Core.Predictor.raw_rem then
     fail "per-path tolerance length disagrees with remainder count";
-  let omr, omc = Linalg.Mat.dims raw.Core.Predictor.raw_omega in
+  if omr <> Array.length raw.Core.Predictor.raw_rem then
+    fail "error-operator rows disagree with remainder count";
   if omr > 0 && omc <> n_vars then fail "error-operator width disagrees with n_vars";
   let ar, ac = Linalg.Mat.dims a_mat in
   if ar <> n_paths || ac <> n_vars then

@@ -58,6 +58,52 @@ let test_vec_axpy () =
   check_float "axpy.0" 7.0 y.(0);
   check_float "axpy.1" 9.0 y.(1)
 
+(* The range kernels against plain loops, bit for bit: counts 0..7
+   cover the four-at-a-time passes and their tails. *)
+let test_vec_range_kernels () =
+  let rng = Rng.create 17 in
+  let x = Array.init 64 (fun _ -> Rng.gaussian rng) in
+  let bits_eq a b = Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) a b in
+  let plain_dot xo yo len =
+    let acc = ref 0.0 in
+    for p = 0 to len - 1 do acc := !acc +. (x.(xo + p) *. x.(yo + p)) done;
+    !acc
+  in
+  let plain_axpy a xo y yo len =
+    for p = 0 to len - 1 do y.(yo + p) <- y.(yo + p) +. (a *. x.(xo + p)) done
+  in
+  for count = 0 to 7 do
+    let out = Array.make count nan in
+    Linalg.Vec.dots_range x 1 x 9 ~stride:6 ~count 5 out;
+    Alcotest.(check bool) (Printf.sprintf "dots_range count %d" count) true
+      (bits_eq out (Array.init count (fun t -> plain_dot 1 (9 + (6 * t)) 5)));
+    let alpha = Array.init 10 (fun i -> float_of_int i -. 2.5) in
+    let y1 = Array.copy x and y2 = Array.copy x in
+    Linalg.Vec.axpys_range alpha 2 x 20 ~stride:5 ~count y1 3 4;
+    for t = 0 to count - 1 do plain_axpy alpha.(2 + t) (20 + (5 * t)) y2 3 4 done;
+    Alcotest.(check bool) (Printf.sprintf "axpys_range count %d" count) true (bits_eq y1 y2);
+    let y1 = Array.copy x and y2 = Array.copy x in
+    Linalg.Vec.rank1_range alpha 1 x 0 y1 10 ~stride:6 ~count 5;
+    for t = 0 to count - 1 do plain_axpy alpha.(1 + t) 0 y2 (10 + (6 * t)) 5 done;
+    Alcotest.(check bool) (Printf.sprintf "rank1_range count %d" count) true (bits_eq y1 y2)
+  done;
+  let y1 = Array.copy x and y2 = Array.copy x in
+  Linalg.Vec.rot2_range ~c1:0.6 ~s1:0.8 ~c2:(-0.28) ~s2:0.96 y1 0 10 20 7;
+  Linalg.Vec.rot_range ~c:0.6 ~s:0.8 y2 0 y2 10 7;
+  Linalg.Vec.rot_range ~c:(-0.28) ~s:0.96 y2 10 y2 20 7;
+  Alcotest.(check bool) "rot2_range = two rot_range" true (bits_eq y1 y2);
+  let raises label f =
+    match f () with
+    | () -> Alcotest.failf "%s: out-of-range access accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  raises "dots_range" (fun () -> Linalg.Vec.dots_range x 0 x 0 ~stride:20 ~count:4 5 (Array.make 4 0.0));
+  raises "dots_range out" (fun () -> Linalg.Vec.dots_range x 0 x 0 ~stride:1 ~count:4 5 (Array.make 3 0.0));
+  raises "axpys_range" (fun () -> Linalg.Vec.axpys_range [| 1.0 |] 0 x 0 ~stride:1 ~count:2 x 0 5);
+  raises "rank1_range" (fun () -> Linalg.Vec.rank1_range [| 1.0; 1.0 |] 0 x 0 x 50 ~stride:10 ~count:2 5);
+  raises "rot_range" (fun () -> Linalg.Vec.rot_range ~c:1.0 ~s:0.0 x (-1) x 0 5);
+  raises "rot2_range" (fun () -> Linalg.Vec.rot2_range ~c1:1.0 ~s1:0.0 ~c2:1.0 ~s2:0.0 x 0 10 62 5)
+
 let test_vec_stats () =
   check_float "sum" 6.0 (Linalg.Vec.sum [| 1.; 2.; 3. |]);
   check_float "mean" 2.0 (Linalg.Vec.mean [| 1.; 2.; 3. |]);
@@ -305,6 +351,70 @@ let test_svd_zero_matrix () =
   check_close "all zero" 0.0 (Linalg.Vec.norm_inf f.s);
   Alcotest.(check int) "rank 0" 0 (Linalg.Svd.rank f)
 
+(* Golden bit patterns of [Svd.factor]: the MD5 of "RxC:" followed by
+   the little-endian IEEE bits of every entry of u, s (as a column) and
+   v. They were recorded from the row-array Golub–Reinsch that the
+   column-major one replaced, so they pin the floating-point operations
+   and their order, not just the accuracy: any reordering of a sum shows
+   up here. The inputs are seeded Gaussians. *)
+let seeded_mat seed r c =
+  let rng = Rng.create seed in
+  Linalg.Mat.init r c (fun _ _ -> Rng.gaussian rng)
+
+let bits_digest (r, c) data =
+  let b = Buffer.create (16 + (8 * Array.length data)) in
+  Buffer.add_string b (Printf.sprintf "%dx%d:" r c);
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) data;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let svd_golden =
+  [
+    ( "tall 12x7", (fun () -> seeded_mat 101 12 7),
+      ("741f229f3c5f487e467856307a8de3bd", "aaee1fc3e42f28cfa341918ec938c743",
+       "8e57c3fca2cc5a56e883396642c36afc") );
+    ( "wide 6x13", (fun () -> seeded_mat 102 6 13),
+      ("527026ccdfc7911b581a2567989aa7ef", "ed826860fec421a1039123d4918b7388",
+       "2273d600b2bc6e7e9db0adf19401cb58") );
+    ( "square 9x9", (fun () -> seeded_mat 103 9 9),
+      ("9276b5589a7dc26a458b67908d1df4dd", "7b2db6060c8da774ae5d730ca7f8375b",
+       "ab760ee843690f95d657320b1a6fcd30") );
+    ( "rank-deficient 10x8 rank 3",
+      (fun () -> Linalg.Mat.mul (seeded_mat 104 10 3) (seeded_mat 105 3 8)),
+      ("680421e8ae4defd98effe8cf5298c577", "de938bc18419904e822eb7f4b38a2a5e",
+       "3441f99044aa63625bca5280c3151fab") );
+    ( "1x6", (fun () -> seeded_mat 106 1 6),
+      ("46175eb84b2455da7568c2fc01c16153", "defa590020b01eb51f2982919af0f8e0",
+       "66beb06f461ab7fbe10bd2402af28910") );
+    ( "7x1", (fun () -> seeded_mat 107 7 1),
+      ("9afd665f7cd60142130571cff20e01df", "ceaae465f581921790be59c97dc97d47",
+       "46175eb84b2455da7568c2fc01c16153") );
+    ( "empty 0x4", (fun () -> Linalg.Mat.create 0 4),
+      ("51f2d7909a2bdce285a0f19dcc309f5d", "dcaf82dc5e85be5c592b89b6e68882e2",
+       "57cdfd52e3e0c59a244008226a01d732") );
+    ( "empty 5x0", (fun () -> Linalg.Mat.create 5 0),
+      ("4c70d57d09069a64450542cf8118af78", "dcaf82dc5e85be5c592b89b6e68882e2",
+       "51f2d7909a2bdce285a0f19dcc309f5d") );
+    ( "tall 70x40", (fun () -> seeded_mat 108 70 40),
+      ("998663108a0435bd0c94c62cf2407525", "ca77c8c55d79fed35a70b23e1a577347",
+       "7fc32dad7df531e6efb5806f6c66b39b") );
+    ( "wide 40x70", (fun () -> seeded_mat 109 40 70),
+      ("49cead3212eefb46bc3fc11c0d8eace8", "0ab488b2169fa902148a1a786c83e559",
+       "63dfbbe51f861944d893051c4da854e4") );
+  ]
+
+let check_svd_golden ?(label = "") () =
+  List.iter
+    (fun (name, input, (du, ds, dv)) ->
+      let f = Linalg.Svd.factor (input ()) in
+      let mat_digest m = bits_digest (Linalg.Mat.dims m) m.Linalg.Mat.data in
+      let tag part = Printf.sprintf "%s%s: %s bits" label name part in
+      Alcotest.(check string) (tag "u") du (mat_digest f.u);
+      Alcotest.(check string) (tag "s") ds (bits_digest (Array.length f.s, 1) f.s);
+      Alcotest.(check string) (tag "v") dv (mat_digest f.v))
+    svd_golden
+
+let test_svd_golden_bits () = check_svd_golden ()
+
 let test_pinv_moore_penrose () =
   let a = random_low_rank 8 6 3 in
   let p = Linalg.Pinv.compute a in
@@ -432,6 +542,7 @@ let unit_tests =
     ("vec: norms", test_vec_norms);
     ("vec: norm2 avoids overflow", test_vec_norm2_no_overflow);
     ("vec: axpy", test_vec_axpy);
+    ("vec: range kernels", test_vec_range_kernels);
     ("vec: stats", test_vec_stats);
     ("vec: dimension mismatch raises", test_vec_mismatch);
     ("mat: 2x2 multiply", test_mat_mul);
@@ -464,6 +575,7 @@ let unit_tests =
     ("svd: agrees with jacobi", test_svd_vs_jacobi);
     ("svd: frobenius identity", test_svd_frobenius_identity);
     ("svd: zero matrix", test_svd_zero_matrix);
+    ("svd: golden bit patterns", test_svd_golden_bits);
     ("pinv: moore-penrose identities", test_pinv_moore_penrose);
     ("pinv: gram solve (definite)", test_pinv_solve_gram_definite);
     ("pinv: gram solve (singular)", test_pinv_solve_gram_singular);

@@ -215,6 +215,17 @@ let test_path_delays_invariant () =
 
 let q = QCheck_alcotest.to_alcotest
 
+(* The SVD's column sweeps and rotation blocks run on the pool: the
+   golden bit patterns must hold at every pool size, with the threshold
+   low enough that the sweeps really split. *)
+let test_svd_golden_across_pool_sizes () =
+  with_low_threshold @@ fun () ->
+  List.iter
+    (fun d ->
+      with_pool_size d @@ fun () ->
+      Test_linalg.check_svd_golden ~label:(Printf.sprintf "pool %d: " d) ())
+    [ 1; 2; 4 ]
+
 let suites =
   [
     ( "par",
@@ -234,6 +245,8 @@ let suites =
         q prop_mul_nt_identical;
         q prop_mul_tn_identical;
         q prop_gram_identical;
+        Alcotest.test_case "svd golden bits at pool sizes 1, 2, 4" `Quick
+          test_svd_golden_across_pool_sizes;
         q prop_sub_scaled_matches_composed;
         q prop_axpy_matches_composed;
         q prop_sub_into_matches;

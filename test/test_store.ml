@@ -231,6 +231,63 @@ let prop_any_byte_flip_rejected =
       | Ok _ -> QCheck.Test.fail_report "corrupted artifact accepted"
       | Error e -> Core.Errors.exit_code e = 65)
 
+(* A saved demo90 artifact at a fixed seed. Its bytes were recorded
+   when predictors still held their error operator and the encoder
+   copied it out; now the encoder derives it from the artifact's own
+   sensitivity matrix, and the file must not change by a bit. *)
+let demo90_digest = "0e2ffb9d158af4566de1060dbb6d1053"
+
+let demo90_artifact dir =
+  let netlist = Circuit.Bench_io.parse_file (Filename.concat dir "demo90.bench") in
+  let model = Timing.Variation.make_model ~levels:3 () in
+  let setup = Core.Pipeline.prepare ~seed:1 ~netlist ~model () in
+  let sel = Core.Pipeline.approximate_selection setup ~eps:0.05 in
+  let pool = setup.Core.Pipeline.pool in
+  Store.of_selection ~fingerprint:"demo90 seed=1"
+    ~n_segments:(Timing.Paths.num_segments pool) ~t_cons:setup.Core.Pipeline.t_cons
+    ~eps:0.05 ~a:(Timing.Paths.a_mat pool) ~mu:(Timing.Paths.mu_paths pool) sel
+
+(* The error operator section of a PSA1 v2 payload, read field by field
+   in file order up to it. *)
+let omega_section bytes =
+  let r = Store.Codec.R.create ~pos:20 bytes in
+  ignore (Store.Codec.R.str r);
+  for _ = 1 to 3 do ignore (Store.Codec.R.f64 r) done;
+  for _ = 1 to 3 do ignore (Store.Codec.R.u32 r) done;
+  ignore (Store.Codec.R.int_array r);
+  for _ = 1 to 3 do ignore (Store.Codec.R.u32 r) done;
+  ignore (Store.Codec.R.f64 r);
+  ignore (Store.Codec.R.float_array r);
+  ignore (Store.Codec.R.int_array r);
+  ignore (Store.Codec.R.int_array r);
+  ignore (Store.Codec.R.mat r);
+  ignore (Store.Codec.R.float_array r);
+  ignore (Store.Codec.R.float_array r);
+  Store.Codec.R.mat r
+
+let test_demo90_artifact_bytes () =
+  Test_golden.with_data @@ fun dir ->
+  let bytes = Store.to_bytes (demo90_artifact dir) in
+  Alcotest.(check string) "artifact digest" demo90_digest
+    (Digest.to_hex (Digest.string bytes));
+  let t =
+    match Store.of_bytes bytes with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "decode failed: %s" (Core.Errors.to_string e)
+  in
+  Alcotest.(check bool) "to_bytes (of_bytes s) = s" true (String.equal (Store.to_bytes t) bytes);
+  let p = Store.predictor t in
+  let a = t.Store.a_mat in
+  let a_r = Linalg.Mat.select_rows a (Core.Predictor.rep_indices p) in
+  let a_m = Linalg.Mat.select_rows a (Core.Predictor.rem_indices p) in
+  let expected = Linalg.Mat.sub (Linalg.Mat.mul (Core.Predictor.weights p) a_r) a_m in
+  let omega = omega_section bytes in
+  Alcotest.(check (pair int int)) "omega dims" (Linalg.Mat.dims expected) (Linalg.Mat.dims omega);
+  Alcotest.(check bool) "omega = W A_r - A_m, bit for bit" true
+    (Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       expected.Linalg.Mat.data omega.Linalg.Mat.data)
+
 let suites =
   [
     ( "store",
@@ -239,6 +296,8 @@ let suites =
         Alcotest.test_case "round trip (file)" `Quick test_roundtrip_file;
         Alcotest.test_case "predictors survive the trip" `Quick
           test_predictors_survive;
+        Alcotest.test_case "demo90 artifact: recorded bytes, round trip, derived omega"
+          `Quick test_demo90_artifact_bytes;
         Alcotest.test_case "bad magic" `Quick test_bad_magic;
         Alcotest.test_case "future version" `Quick test_future_version;
         Alcotest.test_case "truncation" `Quick test_truncated;
